@@ -71,7 +71,7 @@ cmake -B build-asan -S . -DGSV_SANITIZE="address;undefined" >/dev/null
 cmake --build build-asan -j "${JOBS}" --target gsv_robustness_test \
   --target gsv_fault_tolerance_test --target gsv_recovery_test \
   --target gsv_replication_test --target gsv_storage_engine_test \
-  --target gsv_ivm_test
+  --target gsv_ivm_test --target gsv_sweep_test
 # The gdn suite runs under ASan too: memo images load from checkpoint
 # bytes and poisoned networks rebuild in place.
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'asan|gdn'
@@ -81,7 +81,7 @@ echo "=== tsan: batch-engine + index-concurrency + paged-writeback tests under -
 cmake -B build-tsan -S . -DGSV_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "${JOBS}" --target gsv_batch_test \
   --target gsv_index_concurrency_test --target gsv_paged_concurrency_test \
-  --target gsv_ivm_test
+  --target gsv_ivm_test --target gsv_sweep_test
 # The gdn suite runs under TSan too: a parallel drain propagates many
 # networks concurrently against one frozen source.
 ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" -L 'tsan|gdn'

@@ -170,6 +170,9 @@ std::string ShardedViewExplanation::ToString() const {
   out << "  cross-shard traffic: " << cross_shard_exports << " exported, "
       << cross_shard_applies << " applied, " << cross_shard_probes
       << " membership probes\n";
+  out << "  verification sweeps: " << sweep_candidates
+      << " members re-verified, " << sweep_full_runs << " full run"
+      << (sweep_full_runs == 1 ? "" : "s") << "\n";
   if (!engine.empty()) {
     out << "  engine: " << engine;
     if (engine == "gdn") {

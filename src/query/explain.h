@@ -68,6 +68,10 @@ struct ShardedViewExplanation {
   int64_t cross_shard_exports = 0;
   int64_t cross_shard_applies = 0;
   int64_t cross_shard_probes = 0;
+  // Cumulative verification-sweep work (merged WarehouseCosts, all views):
+  // members re-verified, and per-view sweeps that re-verified every member.
+  int64_t sweep_candidates = 0;
+  int64_t sweep_full_runs = 0;
 
   // Maintenance engine ("algorithm1", "general", or "gdn"; empty when the
   // warehouse predates engine selection or the view is unknown). The GDN

@@ -39,7 +39,15 @@ bool AuxiliaryCache::ValueKnown(const Oid& oid) const {
 Status AuxiliaryCache::AddToCorridor(const Object& object, size_t depth,
                                      SourceWrapper* wrapper) {
   const Oid& oid = object.oid();
-  bool fresh_at_depth = depths_[oid.str()].insert(depth).second;
+  auto [entry, rejoined] = depths_.try_emplace(oid);
+  bool fresh_at_depth = entry->second.insert(depth).second;
+  if (rejoined && store_.Contains(oid)) {
+    // A detached object re-attaching before Prune() removed it. Events
+    // below it were ignored while it was off the corridor, so its cached
+    // copy may be stale: replace it with the one the caller supplied.
+    GSV_RETURN_IF_ERROR(store_.Remove(oid));
+    values_known_.Erase(oid);
+  }
   if (!store_.Contains(oid)) {
     Value stored = object.value();
     if (object.IsAtomic()) {
@@ -74,6 +82,7 @@ void AuxiliaryCache::Reset() {
     values_known_.Erase(oid);
   }
   depths_.clear();
+  detached_.clear();
 }
 
 Status AuxiliaryCache::Initialize(SourceWrapper* wrapper) {
@@ -83,8 +92,8 @@ Status AuxiliaryCache::Initialize(SourceWrapper* wrapper) {
 }
 
 void AuxiliaryCache::RecomputeMembership() {
-  std::unordered_map<std::string, std::set<size_t>> new_depths;
-  new_depths[root_.str()].insert(0);
+  std::unordered_map<Oid, std::set<size_t>, OidHash> new_depths;
+  new_depths[root_].insert(0);
 
   // Warm from the cache store's label index: each corridor level is one
   // posting wave instead of a per-child Get + label check.
@@ -99,7 +108,7 @@ void AuxiliaryCache::RecomputeMembership() {
                                     corridor_.label(depth), frontier,
                                     &store_.metrics());
         for (uint32_t id : frontier) {
-          new_depths[Oid::FromId(id).str()].insert(depth + 1);
+          new_depths[Oid::FromId(id)].insert(depth + 1);
         }
         prev_label = &corridor_.label(depth);
       }
@@ -120,7 +129,7 @@ void AuxiliaryCache::RecomputeMembership() {
         if (child == nullptr || child->label() != corridor_.label(depth)) {
           continue;
         }
-        if (new_depths[child_oid.str()].insert(depth + 1).second) {
+        if (new_depths[child_oid].insert(depth + 1).second) {
           next.push_back(child_oid);
         }
       }
@@ -144,17 +153,51 @@ void AuxiliaryCache::FlushIndexCounters(WarehouseCosts* costs) {
   flushed_index_fallbacks_ = fallbacks;
 }
 
-void AuxiliaryCache::Prune() {
-  std::vector<Oid> orphans;
-  store_.ForEach([&](const Object& object) {
-    if (depths_.find(object.oid().str()) == depths_.end()) {
-      orphans.push_back(object.oid());
+void AuxiliaryCache::Detach(const Oid& child) {
+  // Levels settle in increasing depth order: a pair at depth d depends only
+  // on pairs at d-1, which are final by the time level d is examined.
+  std::vector<std::vector<Oid>> level(corridor_.size() + 1);
+  for (size_t depth : depths_.at(child)) {
+    if (depth > 0) level[depth].push_back(child);
+  }
+  for (size_t depth = 1; depth <= corridor_.size(); ++depth) {
+    for (const Oid& oid : level[depth]) {
+      auto it = depths_.find(oid);
+      if (it == depths_.end() || it->second.count(depth) == 0) continue;
+      if (HasParentAt(oid, depth - 1)) continue;
+      it->second.erase(depth);
+      if (it->second.empty()) {
+        depths_.erase(it);
+        detached_.push_back(oid);
+      }
+      if (depth == corridor_.size()) continue;
+      const Object* object = store_.Get(oid);
+      if (object == nullptr || !object->IsSet()) continue;
+      for (const Oid& grandchild : object->children()) {
+        auto git = depths_.find(grandchild);
+        if (git != depths_.end() && git->second.count(depth + 1) > 0) {
+          level[depth + 1].push_back(grandchild);
+        }
+      }
     }
-  });
-  for (const Oid& oid : orphans) {
+  }
+}
+
+bool AuxiliaryCache::HasParentAt(const Oid& oid, size_t depth) const {
+  for (const Oid& parent : store_.Parents(oid)) {
+    auto it = depths_.find(parent);
+    if (it != depths_.end() && it->second.count(depth) > 0) return true;
+  }
+  return false;
+}
+
+void AuxiliaryCache::Prune() {
+  for (const Oid& oid : detached_) {
+    if (OnCorridor(oid) || !store_.Contains(oid)) continue;
     store_.Remove(oid);
     values_known_.Erase(oid);
   }
+  detached_.clear();
 }
 
 Status AuxiliaryCache::OnEvent(const UpdateEvent& event,
@@ -166,7 +209,7 @@ Status AuxiliaryCache::OnEvent(const UpdateEvent& event,
       // Does the child continue the corridor from any of the parent's
       // depths? We need its label: from the event (level >= 2) or by
       // asking the source (level 1).
-      std::set<size_t> parent_depths = depths_.at(event.parent.str());
+      std::set<size_t> parent_depths = depths_.at(event.parent);
       bool label_needed = false;
       for (size_t depth : parent_depths) {
         if (depth < corridor_.size()) label_needed = true;
@@ -192,7 +235,7 @@ Status AuxiliaryCache::OnEvent(const UpdateEvent& event,
     case UpdateKind::kDelete: {
       if (!OnCorridor(event.parent)) return Status::Ok();
       GSV_RETURN_IF_ERROR(store_.RemoveChildRaw(event.parent, event.child));
-      if (OnCorridor(event.child)) RecomputeMembership();
+      if (OnCorridor(event.child)) Detach(event.child);
       return Status::Ok();
     }
     case UpdateKind::kModify: {
@@ -252,12 +295,16 @@ Status AuxiliaryCache::LoadFrom(std::istream& in) {
   }
   GSV_RETURN_IF_ERROR(ReadStore(in, &store_));
   RecomputeMembership();
+  // Anything the image holds off the corridor goes to the next Prune().
+  store_.ForEach([&](const Object& object) {
+    if (!OnCorridor(object.oid())) detached_.push_back(object.oid());
+  });
   return Status::Ok();
 }
 
 std::vector<Path> AuxiliaryCache::CorridorPathsFromRoot(const Oid& n) const {
   std::vector<Path> paths;
-  auto it = depths_.find(n.str());
+  auto it = depths_.find(n);
   if (it == depths_.end()) return paths;
   for (size_t depth : it->second) {
     paths.push_back(corridor_.Prefix(depth));
@@ -271,7 +318,7 @@ std::vector<Oid> AuxiliaryCache::Ancestors(const Oid& n,
 }
 
 bool AuxiliaryCache::VerifyPath(const Oid& y, const Path& p) const {
-  auto it = depths_.find(y.str());
+  auto it = depths_.find(y);
   if (it == depths_.end()) return false;
   return it->second.count(p.size()) > 0 && corridor_.Prefix(p.size()) == p;
 }

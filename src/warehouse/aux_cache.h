@@ -59,13 +59,18 @@ class AuxiliaryCache {
   //
   // A delete updates corridor *membership* immediately but defers the
   // physical removal of detached objects until Prune(): Algorithm 1's
-  // delete case still needs to evaluate the detached subtree (its eval
-  // over the just-removed edge's child), while candidate verification must
-  // already see the post-delete reachability. The warehouse calls Prune()
-  // after maintenance finishes.
+  // delete case and the drain's suspect search both evaluate the detached
+  // subtree, while candidate verification must already see the post-delete
+  // reachability. Membership is re-derived incrementally: starting at the
+  // detached child, level by level, an (object, depth) pair survives iff
+  // some cached parent still holds depth-1 — O(detached corridor), not
+  // O(corridor). Objects that lose every depth are queued for Prune().
+  // The warehouse calls Prune() once the drain's verification sweep ran.
   Status OnEvent(const UpdateEvent& event, SourceWrapper* wrapper);
 
-  // Drops cached objects that are no longer on the corridor.
+  // Removes the cached objects queued by deletes since the last call that
+  // are still off the corridor (a later insert may have re-attached them).
+  // Costs O(objects detached), never a scan of the cache store.
   void Prune();
 
   // Adds the cache store's index counter deltas since the last flush to
@@ -81,7 +86,7 @@ class AuxiliaryCache {
 
   // ---- Locally answered accessor operations ----
 
-  bool OnCorridor(const Oid& oid) const { return depths_.count(oid.str()) > 0; }
+  bool OnCorridor(const Oid& oid) const { return depths_.count(oid) > 0; }
 
   // All derivation paths root→n that are corridor prefixes. (Corridor
   // labels are fixed, so the path at depth d is corridor.Prefix(d).) An
@@ -128,8 +133,13 @@ class AuxiliaryCache {
   // corridor descendants through the wrapper.
   Status AddToCorridor(const Object& object, size_t depth,
                        SourceWrapper* wrapper);
-  // Re-derives corridor membership inside the cache.
+  // Re-derives corridor membership of the whole cache from the root (used
+  // by LoadFrom only; deletes re-derive incrementally via Detach).
   void RecomputeMembership();
+  // Re-derives the depths below `child` after an edge into it was removed.
+  void Detach(const Oid& child);
+  // True if some cached parent of `oid` sits on the corridor at `depth`.
+  bool HasParentAt(const Oid& oid, size_t depth) const;
   // True if the atomic value of `oid` is cached.
   bool ValueKnown(const Oid& oid) const;
 
@@ -138,7 +148,10 @@ class AuxiliaryCache {
   Path corridor_;
   ObjectStore store_;
   // OID -> corridor depths (a DAG object can appear at several).
-  std::unordered_map<std::string, std::set<size_t>> depths_;
+  std::unordered_map<Oid, std::set<size_t>, OidHash> depths_;
+  // Objects that lost every depth since the last Prune() (may repeat, and
+  // may have re-attached since).
+  std::vector<Oid> detached_;
   // Atomic OIDs whose cached value is real (always true in kFull mode).
   OidSet values_known_;
   // Last-flushed index counter readings (FlushIndexCounters deltas).

@@ -24,6 +24,8 @@ WarehouseCosts& WarehouseCosts::Merge(const WarehouseCosts& other) {
   Accumulate(&cache_misses, other.cache_misses);
   Accumulate(&index_probes, other.index_probes);
   Accumulate(&index_fallbacks, other.index_fallbacks);
+  Accumulate(&sweep_candidates, other.sweep_candidates);
+  Accumulate(&sweep_full_runs, other.sweep_full_runs);
   Accumulate(&events_duplicate_dropped, other.events_duplicate_dropped);
   Accumulate(&events_gap_detected, other.events_gap_detected);
   Accumulate(&events_buffered_stale, other.events_buffered_stale);
@@ -64,6 +66,12 @@ std::string WarehouseCosts::ToString() const {
       << " cache_misses=" << cache_misses
       << " index_probes=" << index_probes
       << " index_fallbacks=" << index_fallbacks;
+  // Sweep counters only appear once a deferred drain swept, so inline
+  // deployments (and every golden output) are unchanged.
+  if (sweep_candidates > 0 || sweep_full_runs > 0) {
+    out << " sweep_candidates=" << sweep_candidates
+        << " sweep_full_runs=" << sweep_full_runs;
+  }
   // Health counters only appear once the fault-tolerance layer engaged, so
   // the common fault-free string stays short.
   if (events_duplicate_dropped > 0 || events_gap_detected > 0 ||

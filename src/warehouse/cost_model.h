@@ -35,6 +35,10 @@ struct WarehouseCosts {
   std::atomic<int64_t> index_probes{0};      // corridor posting scans
   std::atomic<int64_t> index_fallbacks{0};   // corridor traversal fallbacks
 
+  // Deferred-drain verification sweeps (DESIGN §4b).
+  std::atomic<int64_t> sweep_candidates{0};  // members re-verified
+  std::atomic<int64_t> sweep_full_runs{0};   // per-view sweeps of every member
+
   // Fault tolerance: sequenced delivery, retries, quarantine health.
   std::atomic<int64_t> events_duplicate_dropped{0};  // redelivery, idempotent
   std::atomic<int64_t> events_gap_detected{0};   // lost deliveries observed
@@ -90,6 +94,9 @@ struct WarehouseCosts {
     index_probes = other.index_probes.load(std::memory_order_relaxed);
     index_fallbacks =
         other.index_fallbacks.load(std::memory_order_relaxed);
+    sweep_candidates =
+        other.sweep_candidates.load(std::memory_order_relaxed);
+    sweep_full_runs = other.sweep_full_runs.load(std::memory_order_relaxed);
     events_duplicate_dropped =
         other.events_duplicate_dropped.load(std::memory_order_relaxed);
     events_gap_detected =

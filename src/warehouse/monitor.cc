@@ -1,5 +1,7 @@
 #include "warehouse/monitor.h"
 
+#include <algorithm>
+
 #include "path/navigate.h"
 
 namespace gsv {
@@ -28,9 +30,22 @@ void SourceMonitor::OnUpdate(const ObjectStore& store, const Update& update) {
     // The source applied the update, so it knows the path it traversed to
     // reach the affected object (§5.1 scenario 3). We reconstruct one
     // root-path (with its OIDs) from the source's own indexes; this costs
-    // the source, not the warehouse.
-    std::vector<Path> paths = PathsFromTo(store, root_, update.parent, 1);
-    if (!paths.empty()) {
+    // the source, not the warehouse. On a DAG base the object can have
+    // several root label paths, and one of them would under-report its
+    // derivations: such an event carries a path without OIDs, which tells
+    // the warehouse to ask for path(ROOT, N) itself.
+    constexpr size_t kPathProbe = 8;
+    std::vector<Path> paths =
+        PathsFromTo(store, root_, update.parent, kPathProbe);
+    const bool unique =
+        paths.size() < kPathProbe &&
+        std::all_of(paths.begin(), paths.end(),
+                    [&](const Path& path) { return path == paths[0]; });
+    if (!paths.empty() && !unique) {
+      RootPathInfo info;
+      info.labels = paths[0];
+      event.root_path = std::move(info);
+    } else if (!paths.empty()) {
       RootPathInfo info;
       info.labels = paths[0];
       // Recover the OIDs along the path by walking it down from the root.

@@ -7,9 +7,11 @@ namespace gsv {
 std::vector<Path> RemoteAccessor::PathsFromRoot(const Oid& root,
                                                 const Oid& n) {
   ++stats_.paths_from_root;
-  // Level 3 events carry path(ROOT, N) for the affected object.
+  // Level 3 events carry path(ROOT, N) for the affected object (unless the
+  // source reported it ambiguous: no OIDs).
   if (event_ != nullptr && event_->level >= ReportingLevel::kWithRootPath &&
-      event_->parent == n) {
+      event_->parent == n &&
+      (!event_->root_path.has_value() || !event_->root_path->oids.empty())) {
     Hit();
     if (!event_->root_path.has_value()) return {};  // unreachable from root
     return {event_->root_path->labels};

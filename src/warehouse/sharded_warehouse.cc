@@ -451,16 +451,29 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
     if (!coord_status.ok() && first_error.ok()) first_error = coord_status;
   }
 
-  // Phase C: verification sweeps, parallel again. Only shards that saw
-  // events, applied foreign ops, or resynced can hold stale extras; a sweep
-  // of a consistent view is a no-op, so skipping the rest preserves
-  // byte-identity while saving the query-backs.
+  // Phase C: verification sweeps, parallel again. An event routed to one
+  // shard can leave stale extras on any shard, so the suspects every shard
+  // recorded are unioned per view and each goes to the shard that owns it
+  // — the only one that can hold it as a member (DESIGN §4f). A view some
+  // shard owes a full sweep (e.g. it resynced) sweeps fully everywhere. A
+  // shard with nothing to check does not sweep.
+  std::vector<Warehouse::SweepPlan> plans(shard_count);
+  for (auto& shard : shards_) {
+    for (auto& [view, scope] : shard->TakeSweepSuspects()) {
+      if (scope.full) {
+        for (Warehouse::SweepPlan& plan : plans) plan[view].full = true;
+      }
+      for (const Oid& suspect : scope.suspects) {
+        plans[ShardOfOid(suspect, mask_)][view].suspects.push_back(suspect);
+      }
+    }
+  }
   std::vector<Status> sweep_statuses(shard_count);
   for (size_t i = 0; i < shard_count; ++i) {
-    if (!active[i] && !applied[i]) continue;
-    pool->Submit([this, i, &sweep_statuses, &timing] {
+    if (plans[i].empty()) continue;
+    pool->Submit([this, i, &plans, &sweep_statuses, &timing] {
       const int64_t start = ThreadCpuMicros();
-      sweep_statuses[i] = shards_[i]->RunVerificationSweep();
+      sweep_statuses[i] = shards_[i]->RunVerificationSweep(plans[i]);
       timing.sweep_micros[i] = ThreadCpuMicros() - start;
     });
   }
@@ -479,7 +492,9 @@ Status ShardedWarehouse::ProcessPendingBatch(size_t threads) {
                                         &flush_applied);
   if (!flush_status.ok() && first_error.ok()) first_error = flush_status;
   for (size_t i = 0; i < shard_count; ++i) {
-    if (active[i] || applied[i] || flush_applied[i]) shards_[i]->CommitDurable();
+    if (active[i] || applied[i] || flush_applied[i] || !plans[i].empty()) {
+      shards_[i]->CommitDurable();
+    }
   }
 
   const int64_t end = NowMicros();
@@ -673,6 +688,10 @@ ShardedViewExplanation ShardedWarehouse::ExplainView(const std::string& name) {
       merged.cross_shard_applies.load(std::memory_order_relaxed);
   explanation.cross_shard_probes =
       merged.cross_shard_probes.load(std::memory_order_relaxed);
+  explanation.sweep_candidates =
+      merged.sweep_candidates.load(std::memory_order_relaxed);
+  explanation.sweep_full_runs =
+      merged.sweep_full_runs.load(std::memory_order_relaxed);
   return explanation;
 }
 

@@ -1,6 +1,7 @@
 #include "warehouse/update_batch.h"
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 
 namespace gsv {
@@ -12,6 +13,22 @@ namespace {
 // is folded in by keeping one map per source.
 uint64_t EdgeKey(const UpdateEvent& event) {
   return (static_cast<uint64_t>(event.parent.id()) << 32) | event.child.id();
+}
+
+// Sets the presence of the edge parent->child in `snapshot` when it is a
+// snapshot of `parent`.
+void PatchSnapshot(std::optional<Object>* snapshot, const Oid& parent,
+                   const Oid& child, bool present) {
+  if (!snapshot->has_value() || (*snapshot)->oid() != parent ||
+      !(*snapshot)->IsSet()) {
+    return;
+  }
+  OidSet& children = (*snapshot)->mutable_children();
+  if (present) {
+    children.Insert(child);
+  } else {
+    children.Erase(child);
+  }
 }
 
 }  // namespace
@@ -56,7 +73,17 @@ size_t UpdateBatch::Coalesce() {
     auto it = per_source.find(key);
     if (it != per_source.end() &&
         events_[it->second].second.kind != event.kind) {
-      // insert/delete (or delete/insert) of the same edge: net nil.
+      // insert/delete (or delete/insert) of the same edge: net nil. The
+      // edge exists outside the pair iff the pair ends with the insert.
+      const bool present = event.kind == UpdateKind::kInsert;
+      for (size_t k = it->second + 1; k < i; ++k) {
+        if (events_[k].first != source) continue;
+        UpdateEvent& between = events_[k].second;
+        PatchSnapshot(&between.parent_object, event.parent, event.child,
+                      present);
+        PatchSnapshot(&between.child_object, event.parent, event.child,
+                      present);
+      }
       dead[it->second] = true;
       dead[i] = true;
       removed += 2;

@@ -16,7 +16,10 @@ namespace gsv {
 //  * an insert(P,C) and a later delete(P,C) of the same edge at the same
 //    source cancel (and symmetrically delete-then-insert) — the net effect
 //    on the final source state is nil, and batch maintenance evaluates
-//    against that final state;
+//    against that final state. Object snapshots that events between the
+//    pair carry of P saw the transient edge; they are patched back to the
+//    edge state outside the pair, so no survivor reports an edge (or the
+//    lack of one) the batch's net effect never had;
 //  * consecutive-in-batch modifies of the same object merge last-writer-
 //    wins: the survivor keeps the newest snapshot and new value, and the
 //    oldest old value, preserving the net transition.

@@ -27,7 +27,9 @@ enum class ReportingLevel {
 
 const char* ReportingLevelName(ReportingLevel level);
 
-// One root-to-object derivation: interleaved OIDs and labels.
+// One root-to-object derivation: interleaved OIDs and labels. Empty `oids`
+// mark an ambiguous report: N has several root label paths (a DAG base),
+// `labels` is just one of them, and path(ROOT, N) must be asked for.
 struct RootPathInfo {
   std::vector<Oid> oids;  // root, x1, ..., N (size = labels.size() + 1)
   Path labels;            // path(ROOT, N)

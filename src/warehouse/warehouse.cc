@@ -133,21 +133,46 @@ Status Warehouse::ApplyForeignOps(const std::vector<ForeignViewOp>& ops) {
 }
 
 Status Warehouse::RunVerificationSweep() {
-  Status first_error;
+  SweepPlan plan;
+  for (const auto& entry : views_) plan[entry->def.name()].full = true;
+  return RunVerificationSweep(plan);
+}
+
+Status Warehouse::RunVerificationSweep(const SweepPlan& plan) {
+  std::vector<SweepJob> jobs;
   for (auto& entry : views_) {
-    if (entry->stale) continue;  // swept after resync instead
-    Status status = VerifyMembers(*entry);
-    if (!status.ok()) {
-      if (IsSourceFailure(status)) {
-        Quarantine(*entry, status);
-        continue;
-      }
-      if (first_error.ok()) first_error = status;
+    // Stale views are swept after resync instead.
+    if (entry->stale || entry->engine != EngineKind::kAlgorithm1) continue;
+    auto it = plan.find(entry->def.name());
+    if (it == plan.end() && !entry->sweep_full_due) continue;
+    SweepJob job;
+    job.entry = entry.get();
+    job.full = entry->sweep_full_due || it->second.full;
+    if (!job.full) job.suspects = it->second.suspects;
+    jobs.push_back(std::move(job));
+  }
+  Status status = RunSweepJobs(&jobs, nullptr);
+  if (!status.ok()) last_status_ = status;
+  PruneCaches();
+  for (const SweepJob& job : jobs) {
+    if (!job.doomed.empty()) {
+      StorageQuiescent();
+      break;
     }
   }
-  if (!first_error.ok()) last_status_ = first_error;
-  StorageQuiescent();
-  return first_error;
+  return status;
+}
+
+Warehouse::SweepPlan Warehouse::TakeSweepSuspects() {
+  SweepPlan plan = std::exchange(recorded_sweep_, {});
+  // A view owing a full sweep says so even when no batch recorded it (a
+  // shard whose prologue resynced the view but had no events for it).
+  for (const auto& entry : views_) {
+    if (entry->sweep_full_due && !entry->stale) {
+      plan[entry->def.name()].full = true;
+    }
+  }
+  return plan;
 }
 
 void Warehouse::PruneForeignMembers(ViewEntry& entry, bool export_members) {
@@ -441,6 +466,9 @@ ShardedViewExplanation Warehouse::ExplainView(const std::string& name) const {
       costs_.cross_shard_applies.load(std::memory_order_relaxed);
   out.cross_shard_probes =
       costs_.cross_shard_probes.load(std::memory_order_relaxed);
+  out.sweep_candidates =
+      costs_.sweep_candidates.load(std::memory_order_relaxed);
+  out.sweep_full_runs = costs_.sweep_full_runs.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -486,6 +514,7 @@ void Warehouse::Deliver(size_t source_index, const UpdateEvent& event) {
     return;
   }
   DispatchEvent(source_index, event);
+  PruneCaches();
   LogCommit();  // inline dispatch forms its own commit group
   StorageQuiescent();
 }
@@ -522,6 +551,7 @@ void Warehouse::DispatchEvent(size_t source_index, const UpdateEvent& event) {
         BufferStaleEvent(*entry, event);
       } else {
         last_status_ = status;
+        entry->sweep_full_due = true;  // the step may have left extras
       }
     }
   }
@@ -655,16 +685,19 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
     }
   }
 
-  // Deferred-drain epilogue for the replayed events.
+  // Deferred-drain epilogue for the replayed events: a full sweep, since
+  // the rebuilt view was never exact for any pre-replay state.
   status = VerifyMembers(entry);
-  if (!status.ok()) {
-    if (IsSourceFailure(status)) {
-      Quarantine(entry, status);
-      ++costs_.resync_failures;
-      return status;
-    }
-    last_status_ = status;
+  if (entry.cache != nullptr) entry.cache->Prune();
+  if (entry.stale) {
+    ++costs_.resync_failures;
+    return entry.stale_cause;
   }
+  if (!status.ok()) last_status_ = status;
+  // Sharded: peers may hold extras that the lost events would have removed
+  // through this shard's foreign ops. Owing a full sweep makes the
+  // coordinator's union scope this view fully on every shard.
+  if (binding_.has_value()) entry.sweep_full_due = true;
   ++costs_.view_resyncs;
   return Status::Ok();
 }
@@ -730,17 +763,84 @@ size_t Warehouse::CompactPending() {
   return removed;
 }
 
+Status Warehouse::CollectSuspects(const ViewEntry& entry,
+                                  RemoteAccessor* accessor,
+                                  const std::vector<const UpdateEvent*>& events,
+                                  std::vector<Oid>* suspects) {
+  // A member derivable before the batch but not after has a broken
+  // pre-batch derivation (DESIGN §4b). If its select part is broken, the
+  // lowest deleted edge (P,C) on it leaves C -> member intact: the member
+  // is in eval(C, sel suffix). If only the condition part is broken, the
+  // highest deleted edge leaves member -> P intact: the member is an
+  // ancestor of P. If neither is, the witness was modified. Inserts need
+  // no suspects: membership is monotone in edges, and every member an
+  // insert added was verified on the final state.
+  const Path& sel = entry.sel_path;
+  const Path& cond = entry.cond_path;
+  const bool has_cond = entry.def.predicate().has_value();
+  for (const UpdateEvent* event : events) {
+    accessor->ClearError();
+    if (event->kind == UpdateKind::kModify) {
+      if (!has_cond || entry.full_path.empty()) continue;
+      // Level 1 carries no label; ancestor(N, cond_path) is empty anyway
+      // when N does not end the corridor.
+      if (event->parent_object.has_value() &&
+          event->parent_object->label() != entry.full_path.back()) {
+        continue;
+      }
+      // A witness dies only by taking a value that fails the condition, and
+      // an object's last (or coalesced) modify carries its final value.
+      if (event->new_value.has_value() &&
+          entry.def.predicate()->Holds(*event->new_value)) {
+        continue;
+      }
+      for (const Oid& y : accessor->Ancestors(event->parent, cond)) {
+        suspects->push_back(y);
+      }
+    } else if (event->kind == UpdateKind::kDelete) {
+      // The child's label picks the corridor positions the edge can fill;
+      // when it cannot be learned every position is searched.
+      std::optional<std::string> label;
+      if (event->child_object.has_value()) {
+        label = event->child_object->label();
+      } else if (Result<Object> child = accessor->Fetch(event->child);
+                 child.ok()) {
+        label = child->label();
+      }
+      for (size_t i = 0; i < sel.size(); ++i) {
+        if (label.has_value() && sel.label(i) != *label) continue;
+        if (i + 1 == sel.size()) {
+          suspects->push_back(event->child);
+          continue;
+        }
+        for (const Oid& member :
+             accessor->Eval(event->child, sel.Suffix(i + 1), std::nullopt)) {
+          suspects->push_back(member);
+        }
+      }
+      for (size_t j = 0; has_cond && j < cond.size(); ++j) {
+        if (label.has_value() && cond.label(j) != *label) continue;
+        for (const Oid& member :
+             accessor->Ancestors(event->parent, cond.Prefix(j))) {
+          suspects->push_back(member);
+        }
+      }
+    }
+    // A failed query-back answered empty: the suspect list is incomplete.
+    if (!accessor->last_error().ok()) return accessor->last_error();
+  }
+  return Status::Ok();
+}
+
 Status Warehouse::CollectUnderivable(ViewEntry& entry,
                                      RemoteAccessor* accessor,
+                                     const OidSet& candidates,
                                      std::vector<Oid>* doomed) {
-  // The sweep re-derives members along the simple corridor; general views
-  // have none, and their engines already keep membership exact (the GDN by
-  // reconciliation against final state, the general maintainer by
-  // candidate recheck against final state).
-  if (entry.engine != EngineKind::kAlgorithm1) return Status::Ok();
   const SourceEntry& source = *sources_[entry.source_index];
-  const OidSet members = entry.view->BaseMembers();
-  for (const Oid& member : members) {
+  int64_t verified = 0;
+  for (const Oid& member : candidates) {
+    if (!entry.view->ContainsBase(member)) continue;
+    ++verified;
     accessor->ClearError();
     bool derivable = accessor->VerifyPath(source.root, member, entry.sel_path);
     if (derivable && entry.def.predicate().has_value()) {
@@ -754,17 +854,107 @@ Status Warehouse::CollectUnderivable(ViewEntry& entry,
     }
     if (!derivable) doomed->push_back(member);
   }
+  costs_.sweep_candidates.fetch_add(verified, std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Status Warehouse::VerifyMembers(ViewEntry& entry) {
-  std::vector<Oid> doomed;
-  GSV_RETURN_IF_ERROR(
-      CollectUnderivable(entry, entry.accessor.get(), &doomed));
-  for (const Oid& member : doomed) {
-    GSV_RETURN_IF_ERROR(entry.view->VDelete(member));
+Status Warehouse::RunSweepJobs(std::vector<SweepJob>* jobs, ThreadPool* pool) {
+  auto run = [this](SweepJob& job) {
+    ViewEntry& entry = *job.entry;
+    SourceEntry& source = *sources_[entry.source_index];
+    RemoteAccessor accessor(source.wrapper.get(), &costs_);
+    if (entry.cache != nullptr) accessor.set_cache(entry.cache.get());
+    if (!job.full) {
+      job.status =
+          CollectSuspects(entry, &accessor, job.events, &job.suspects);
+    }
+    if (!job.status.ok() || !job.verify) return;
+    const OidSet candidates =
+        job.full ? entry.view->BaseMembers() : OidSet(job.suspects);
+    job.status = CollectUnderivable(entry, &accessor, candidates, &job.doomed);
+  };
+  for (SweepJob& job : *jobs) {
+    if (pool != nullptr) {
+      pool->Submit([&run, &job] { run(job); });
+    } else {
+      run(job);
+    }
   }
-  return Status::Ok();
+  if (pool != nullptr) pool->Wait();
+
+  Status first_error;
+  for (SweepJob& job : *jobs) {
+    ViewEntry& entry = *job.entry;
+    if (!job.status.ok()) {
+      // Unreliable suspects or verdicts: act on none of them. A down source
+      // quarantines (the resync sweeps fully); any other failure leaves the
+      // view owing a full sweep.
+      if (IsSourceFailure(job.status)) {
+        Quarantine(entry, job.status);
+      } else {
+        entry.sweep_full_due = true;
+        if (first_error.ok()) first_error = job.status;
+      }
+      continue;
+    }
+    if (!job.verify) {
+      SweepScope& scope = recorded_sweep_[entry.def.name()];
+      scope.full = scope.full || job.full;
+      scope.suspects.insert(scope.suspects.end(), job.suspects.begin(),
+                            job.suspects.end());
+      continue;
+    }
+    if (job.full) ++costs_.sweep_full_runs;
+    for (const Oid& member : job.doomed) {
+      Status status = entry.view->VDelete(member);
+      if (!status.ok() && first_error.ok()) first_error = status;
+    }
+    if (job.full) entry.sweep_full_due = false;
+  }
+  return first_error;
+}
+
+Status Warehouse::SweepDrain(
+    const std::vector<std::pair<size_t, UpdateEvent>>& events, bool verify,
+    ThreadPool* pool) {
+  std::vector<SweepJob> jobs;
+  for (auto& entry : views_) {
+    // Stale views are swept after resync instead.
+    if (entry->stale || entry->engine != EngineKind::kAlgorithm1) continue;
+    SweepJob job;
+    job.entry = entry.get();
+    job.full = entry->sweep_full_due;
+    job.verify = verify;
+    for (const auto& [source_index, event] : events) {
+      if (source_index == entry->source_index) job.events.push_back(&event);
+    }
+    if (!job.events.empty()) jobs.push_back(std::move(job));
+  }
+  Status status = RunSweepJobs(&jobs, pool);
+  // Only now may the caches drop what the drain detached: the suspect
+  // search above evaluated those subtrees.
+  PruneCaches();
+  return status;
+}
+
+Status Warehouse::VerifyMembers(ViewEntry& entry) {
+  // The sweep re-derives members along the simple corridor; general views
+  // have none, and their engines already keep membership exact (the GDN by
+  // reconciliation against final state, the general maintainer by
+  // candidate recheck against final state).
+  if (entry.engine != EngineKind::kAlgorithm1) return Status::Ok();
+  std::vector<SweepJob> jobs(1);
+  jobs[0].entry = &entry;
+  jobs[0].full = true;
+  return RunSweepJobs(&jobs, nullptr);
+}
+
+void Warehouse::PruneCaches() {
+  for (auto& entry : views_) {
+    if (entry->cache == nullptr) continue;
+    entry->cache->Prune();
+    entry->cache->FlushIndexCounters(&costs_);
+  }
 }
 
 Status Warehouse::ProcessPending() {
@@ -776,28 +966,16 @@ Status Warehouse::ProcessPending() {
   // warehouse never mutates sources), but keep the loop robust anyway.
   std::vector<std::pair<size_t, UpdateEvent>> batch;
   batch.swap(pending_);
-  std::vector<bool> touched(sources_.size(), false);
   for (const auto& [source_index, event] : batch) {
-    touched[source_index] = true;
     Status before = last_status_;
     DispatchEvent(source_index, event);
     if (first_error.ok() && !(last_status_ == before)) {
       first_error = last_status_;
     }
   }
-  // Deferred-drain epilogue: see the header comment. Quarantined views are
-  // skipped — their members are verified by the post-resync sweep instead.
-  for (auto& entry : views_) {
-    if (!touched[entry->source_index] || entry->stale) continue;
-    Status status = VerifyMembers(*entry);
-    if (!status.ok()) {
-      if (IsSourceFailure(status)) {
-        Quarantine(*entry, status);
-        continue;
-      }
-      if (first_error.ok()) first_error = status;
-    }
-  }
+  // Deferred-drain epilogue: see the header comment.
+  Status status = SweepDrain(batch, /*verify=*/true, nullptr);
+  if (!status.ok() && first_error.ok()) first_error = status;
   if (!first_error.ok()) last_status_ = first_error;
   LogCommit();  // the drain is quiescent here: one commit closes the group
   StorageQuiescent();
@@ -832,8 +1010,9 @@ Status Warehouse::HandleEventForView(ViewEntry& entry,
 
   // 1. Keep the auxiliary structure current (§5.2: "the auxiliary structure
   //    itself needs to be maintained"). For deletes this updates corridor
-  //    membership but keeps the detached subtree readable until Prune()
-  //    below — Algorithm 1's delete case evaluates that subtree.
+  //    membership but keeps the detached subtree readable until the caller
+  //    prunes (PruneCaches) — Algorithm 1's delete case and the drain's
+  //    suspect search evaluate that subtree.
   if (entry.cache != nullptr) {
     GSV_RETURN_IF_ERROR(entry.cache->OnEvent(event, source.wrapper.get()));
   }
@@ -844,10 +1023,7 @@ Status Warehouse::HandleEventForView(ViewEntry& entry,
       ++costs_.events_screened_out;
       // Delegate values must still track the base (§3.2).
       Status status = entry.storage()->SyncUpdate(event.ToUpdate());
-      if (entry.cache != nullptr) {
-        if (event.kind == UpdateKind::kDelete) entry.cache->Prune();
-        entry.cache->FlushIndexCounters(&costs_);
-      }
+      if (entry.cache != nullptr) entry.cache->FlushIndexCounters(&costs_);
       return status;
     }
   }
@@ -863,10 +1039,7 @@ Status Warehouse::HandleEventForView(ViewEntry& entry,
     status = entry.maintainer->Maintain(event.ToUpdate());
   }
   entry.accessor->set_current_event(nullptr);
-  if (entry.cache != nullptr) {
-    if (event.kind == UpdateKind::kDelete) entry.cache->Prune();
-    entry.cache->FlushIndexCounters(&costs_);
-  }
+  if (entry.cache != nullptr) entry.cache->FlushIndexCounters(&costs_);
   return status;
 }
 

@@ -1,6 +1,7 @@
 #ifndef GSV_WAREHOUSE_WAREHOUSE_H_
 #define GSV_WAREHOUSE_WAREHOUSE_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -126,11 +127,31 @@ class Warehouse {
   // them — and ops for unknown views fail.
   Status ApplyForeignOps(const std::vector<ForeignViewOp>& ops);
 
-  // The deferred-drain verification sweep (see ProcessPending), standalone:
-  // every fresh view re-verifies its members against current source state
-  // and drops the underivable. The coordinator runs this after foreign ops
-  // land, when a batch had run with BatchOptions::run_sweep = false.
+  // The deferred-drain verification sweep (see ProcessPending), standalone.
+  // Which members one view re-verifies against current source state:
+  // `full` = all of them, otherwise only `suspects` (DESIGN §4b).
+  struct SweepScope {
+    bool full = false;
+    std::vector<Oid> suspects;
+  };
+  // View name -> scope. Views absent from the plan are not swept.
+  using SweepPlan = std::map<std::string, SweepScope>;
+
+  // Full sweep: every fresh view re-verifies every member and drops the
+  // underivable. Resync and recovery use it; it costs O(|view|).
   Status RunVerificationSweep();
+  // Scoped sweep: each fresh view re-verifies the plan's suspects that it
+  // holds as members (a full scope, or a view whose pre-batch exactness is
+  // not established, sweeps fully). A sharded coordinator unions the
+  // shards' recorded suspects (TakeSweepSuspects) per view and hands each
+  // shard the ones it owns once the foreign ops landed. Verification reads
+  // only the source and the membership sets, so either form declares a
+  // storage quiescent point only when it deleted members: a paged
+  // delegate store keeps the pages its readers use.
+  Status RunVerificationSweep(const SweepPlan& plan);
+  // The scopes a batch run with BatchOptions::run_sweep = false recorded,
+  // per view; the record is cleared.
+  SweepPlan TakeSweepSuspects();
 
   // Closes the current durability commit group (no-op when durability is
   // off). The coordinator commits each shard only after cross-shard ops
@@ -178,11 +199,18 @@ class Warehouse {
   // Such misses are always stale *extras*, never missing members — a
   // member that should appear is found by whichever queued insert restored
   // its derivation, which re-evaluates the attached subtree. The drain
-  // therefore ends with a verification sweep over the current members of
-  // each view whose source contributed events: members whose derivation or
-  // condition no longer holds are dropped. The sweep costs
-  // O(|view| · (climb + condition eval)) through the accessor — local when
-  // a full auxiliary cache is configured, metered query-backs otherwise.
+  // therefore ends with a verification sweep of each view whose source
+  // contributed events: members whose derivation or condition no longer
+  // holds are dropped. Only the drain's *suspects* are re-verified — the
+  // members below a deleted select edge, above a deleted condition edge,
+  // or above a witness modified to a failing value (DESIGN §4b) — so the
+  // sweep costs O(suspects · (climb + condition eval)), proportional to
+  // what the batch touched, not to |view|. The first drain after anything
+  // that rebuilt a view or its corridor from current source state
+  // (recovery, a sharded resync, a failed maintenance step) re-verifies
+  // every member once instead. Checks run through the accessor — local
+  // when a full auxiliary cache is configured, metered query-backs
+  // otherwise.
   Status ProcessPending();
 
   // Squashes the pending queue before a drain: adjacent same-source pairs
@@ -213,8 +241,9 @@ class Warehouse {
   //      stats merge — so the resulting views and counters are
   //      deterministic;
   //   4. the deferred-drain verification sweep (see ProcessPending) runs
-  //      read-only in parallel per view, and its deletions apply after a
-  //      second barrier.
+  //      read-only in parallel per view — suspect search, then re-verify —
+  //      and its deletions apply after a second barrier; the corridor
+  //      caches prune the objects the batch detached only after that.
   //
   // Sources must not change during the call (the usual external
   // synchronization for a deferred drain). The outcome is convergent
@@ -228,7 +257,8 @@ class Warehouse {
     bool split_subtrees = true;
     // A sharded coordinator defers these two: the sweep must wait for the
     // foreign ops of every shard to land, and the commit must not certify
-    // a batch whose cross-shard ops are still in flight.
+    // a batch whose cross-shard ops are still in flight. With run_sweep
+    // off the batch still collects its suspects (TakeSweepSuspects).
     bool run_sweep = true;
     bool log_commit = true;
   };
@@ -416,6 +446,23 @@ class Warehouse {
     bool stale = false;
     std::vector<UpdateEvent> stale_events;
     Status stale_cause;  // why the view quarantined (Ok when fresh)
+    // The next sweep must re-verify every member: the view or its corridor
+    // is not known to be exact for the pre-batch state (recovered, resynced
+    // as a shard, or a maintenance step failed), so suspects from the
+    // batch's events alone would not cover its stale extras.
+    bool sweep_full_due = false;
+  };
+
+  // One view's share of a verification sweep. Suspects come from `events`
+  // (unless `full`); with `verify` off the job only collects them.
+  struct SweepJob {
+    ViewEntry* entry = nullptr;
+    bool full = false;
+    bool verify = true;
+    std::vector<const UpdateEvent*> events;
+    std::vector<Oid> suspects;
+    std::vector<Oid> doomed;
+    Status status;
   };
 
   void OnEvent(size_t source_index, const UpdateEvent& event);
@@ -434,15 +481,34 @@ class Warehouse {
   Status HandleEventForView(ViewEntry& entry, const UpdateEvent& event);
   // The §5.1 local screening predicate (level >= 2 events only).
   bool EventRelevant(const ViewEntry& entry, const UpdateEvent& event) const;
-  // Collects current members whose derivation/condition fails on the
-  // current source state; read-only (usable from a worker thread). Aborts
-  // with the accessor's error when a query-back fails — an empty answer
-  // from a down source is not evidence a member is underivable.
+  // Appends to `suspects` the members `events` may have left underivable
+  // (DESIGN §4b), searched on the current source state through `accessor`;
+  // read-only (usable from a worker thread).
+  Status CollectSuspects(const ViewEntry& entry, RemoteAccessor* accessor,
+                         const std::vector<const UpdateEvent*>& events,
+                         std::vector<Oid>* suspects);
+  // Collects the members among `candidates` whose derivation/condition
+  // fails on the current source state; read-only (usable from a worker
+  // thread). Aborts with the accessor's error when a query-back fails — an
+  // empty answer from a down source is not evidence a member is
+  // underivable.
   Status CollectUnderivable(ViewEntry& entry, RemoteAccessor* accessor,
+                            const OidSet& candidates,
                             std::vector<Oid>* doomed);
-  // Drops members whose derivation/condition fails on the current source
-  // state (the deferred-drain epilogue).
+  // The one sweep routine: runs `jobs` read-only (on `pool` when given,
+  // else inline), then applies the deletions in job order. A job whose
+  // source failed quarantines its view; returns the first other error.
+  Status RunSweepJobs(std::vector<SweepJob>* jobs, ThreadPool* pool);
+  // A drain's sweep: one job per fresh Algorithm 1 view whose source sent
+  // `events` (only recording the suspects when `verify` is off), then
+  // PruneCaches().
+  Status SweepDrain(const std::vector<std::pair<size_t, UpdateEvent>>& events,
+                    bool verify, ThreadPool* pool);
+  // Full single-view sweep (resync epilogue); a no-op for general views.
   Status VerifyMembers(ViewEntry& entry);
+  // Removes the objects each corridor cache detached since the last call;
+  // runs after the sweep, whose suspect search reads detached subtrees.
+  void PruneCaches();
   // Level-1 modify handling over an arbitrary storage/accessor pair (the
   // batch engine passes a BufferedViewStorage and a per-task accessor).
   Status Level1ModifyRecheck(ViewEntry& entry, const UpdateEvent& event,
@@ -507,6 +573,7 @@ class Warehouse {
   std::vector<std::unique_ptr<ViewEntry>> views_;
   std::optional<ShardBinding> binding_;
   std::vector<ForeignViewOp> outbox_;
+  SweepPlan recorded_sweep_;  // run_sweep = false batches (coordinator)
   bool deferred_ = false;
   std::vector<std::pair<size_t, UpdateEvent>> pending_;
   Status last_status_;

@@ -26,12 +26,6 @@ struct EvalTask {
   Status status;
 };
 
-struct SweepTask {
-  size_t view_index = 0;
-  std::vector<Oid> doomed;
-  Status status;
-};
-
 }  // namespace
 
 // Keys the independent-subtree partition: the child of the source root whose
@@ -125,6 +119,7 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
             continue;
           }
           if (first_error.ok()) first_error = status;
+          entry.sweep_full_due = true;  // the corridor may be off now
         }
       }
 
@@ -260,64 +255,24 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
       }
       continue;
     }
-    if (!task.status.ok() && first_error.ok()) first_error = task.status;
+    if (!task.status.ok()) {
+      if (first_error.ok()) first_error = task.status;
+      entry.sweep_full_due = true;  // the failed step may have left extras
+    }
     // Replay through the scoped storage when sharded: owned ops land in the
     // view, foreign ops queue in the outbox — still single-threaded here.
     Status status = task.buffer->ReplayInto(entry.storage());
     if (!status.ok() && first_error.ok()) first_error = status;
     if (entry.maintainer != nullptr) entry.maintainer->MergeStats(task.stats);
   }
-  for (auto& entry : views_) {
-    if (touched[entry->source_index] && !entry->stale &&
-        entry->cache != nullptr) {
-      entry->cache->Prune();
-      entry->cache->FlushIndexCounters(&costs_);
-    }
-  }
-
   // ---- Phase 4: the deferred-drain verification sweep (see
-  // ProcessPending), read-only in parallel, deletions after the barrier.
-  // A sharded coordinator runs the batch with run_sweep off and sweeps
-  // (RunVerificationSweep) only after every shard's foreign ops landed.
-  if (options.run_sweep) {
-    std::vector<SweepTask> sweep_tasks;
-    for (size_t view_index = 0; view_index < views_.size(); ++view_index) {
-      if (!touched[views_[view_index]->source_index]) continue;
-      if (views_[view_index]->stale) continue;  // swept after resync instead
-      // General engines keep membership exact against final state; only
-      // Algorithm 1 views need the disclaimed-responsibility sweep.
-      if (views_[view_index]->engine != EngineKind::kAlgorithm1) continue;
-      SweepTask task;
-      task.view_index = view_index;
-      sweep_tasks.push_back(std::move(task));
-    }
-    for (SweepTask& task : sweep_tasks) {
-      pool->Submit([this, &task] {
-        ViewEntry& entry = *views_[task.view_index];
-        SourceEntry& source = *sources_[entry.source_index];
-        RemoteAccessor accessor(source.wrapper.get(), &costs_);
-        if (entry.cache != nullptr) accessor.set_cache(entry.cache.get());
-        task.status = CollectUnderivable(entry, &accessor, &task.doomed);
-      });
-    }
-    pool->Wait();
-    for (SweepTask& task : sweep_tasks) {
-      ViewEntry& entry = *views_[task.view_index];
-      if (!task.status.ok()) {
-        if (IsSourceFailure(task.status)) {
-          // The sweep could not verify membership against the source; the
-          // collected deletions are unreliable. Quarantine instead of acting.
-          Quarantine(entry, task.status);
-          continue;
-        }
-        if (first_error.ok()) first_error = task.status;
-      }
-      for (const Oid& member : task.doomed) {
-        Status status = entry.view->VDelete(member);
-        if (!status.ok() && first_error.ok()) first_error = status;
-      }
-    }
-  }
+  // ProcessPending): per view, search the batch's suspects and re-verify
+  // them, read-only in parallel; deletions apply after the barrier. A
+  // sharded coordinator runs the batch with run_sweep off: the jobs only
+  // record their suspects, and the coordinator sweeps their union per view
+  // (RunVerificationSweep) once every shard's foreign ops landed.
+  Status sweep_status = SweepDrain(batch.events(), options.run_sweep, pool);
+  if (!sweep_status.ok() && first_error.ok()) first_error = sweep_status;
 
   if (!first_error.ok()) last_status_ = first_error;
   // The batch drained to quiescence: one commit record closes the group

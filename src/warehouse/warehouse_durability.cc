@@ -324,6 +324,10 @@ Status Warehouse::RestoreFromPlan(const RecoveryPlan& plan) {
   //    current state subsumes every logged event, same as a resync).
   bool clean = plan.committed.empty() && plan.tail.empty() && !plan.log_torn;
   for (auto& entry : views_) {
+    // The restored view is exact for the last commit, the corridor for the
+    // live source: neither is known exact for the next drain's pre-batch
+    // state, so that drain's sweep must re-verify every member (§4b).
+    entry->sweep_full_due = true;
     if (entry->cache == nullptr) continue;
     bool loaded = false;
     if (clean && plan.have_checkpoint) {

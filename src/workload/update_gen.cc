@@ -54,7 +54,7 @@ bool UpdateGenerator::Reachable(const Oid& from, const Oid& target) const {
 Result<Update> UpdateGenerator::TryModify() {
   if (atoms_.empty()) return Status::FailedPrecondition("no atomic objects");
   for (int attempt = 0; attempt < 8; ++attempt) {
-    const Oid& target = atoms_[rng_.Uniform(atoms_.size())];
+    const Oid target = atoms_[rng_.Uniform(atoms_.size())];
     const Object* object = store_->Get(target);
     if (object == nullptr || !object->IsAtomic()) continue;
     Value old_value = object->value();
@@ -68,7 +68,8 @@ Result<Update> UpdateGenerator::TryModify() {
 Result<Update> UpdateGenerator::TryDelete() {
   if (sets_.empty()) return Status::FailedPrecondition("no set objects");
   for (int attempt = 0; attempt < 16; ++attempt) {
-    const Oid& parent = sets_[rng_.Uniform(sets_.size())];
+    // By value: Rescan() below rebuilds sets_.
+    const Oid parent = sets_[rng_.Uniform(sets_.size())];
     const Object* object = store_->Get(parent);
     if (object == nullptr || !object->IsSet() || object->children().empty()) {
       continue;
@@ -85,7 +86,8 @@ Result<Update> UpdateGenerator::TryDelete() {
 
 Result<Update> UpdateGenerator::TryInsert() {
   if (sets_.empty()) return Status::FailedPrecondition("no set objects");
-  const Oid& parent = sets_[rng_.Uniform(sets_.size())];
+  // By value: the re-attach below calls Rescan(), which rebuilds sets_.
+  const Oid parent = sets_[rng_.Uniform(sets_.size())];
 
   // Option 1: re-attach a detached subtree (tree-preserving by
   // construction: the subtree has no remaining parent). Skip candidates
@@ -106,7 +108,7 @@ Result<Update> UpdateGenerator::TryInsert() {
       rng_.Bernoulli(0.5)) {
     for (int attempt = 0; attempt < 8; ++attempt) {
       const std::vector<Oid>& pool = rng_.Bernoulli(0.5) ? atoms_ : sets_;
-      const Oid& child = pool[rng_.Uniform(pool.size())];
+      const Oid child = pool[rng_.Uniform(pool.size())];
       if (child == parent || Reachable(child, parent)) continue;  // no cycle
       const Object* parent_obj = store_->Get(parent);
       if (parent_obj == nullptr || parent_obj->children().Contains(child)) {

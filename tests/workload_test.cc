@@ -2,6 +2,7 @@
 
 #include "core/virtual_view.h"
 #include "core/view_definition.h"
+#include "oem/serialize.h"
 #include "oem/store.h"
 #include "path/navigate.h"
 #include "workload/dag_gen.h"
@@ -206,6 +207,69 @@ TEST(UpdateGenTest, DeterministicStreams) {
   };
   EXPECT_EQ(run(9), run(9));
   EXPECT_NE(run(9), run(10));
+}
+
+// The returned updates must describe exactly what the generator applied:
+// replayed on a twin world built from the same seed, every update applies
+// and the two stores end byte-identical. (Deletes and re-attaches rescan
+// the generator's object lists, so the update must not alias them.)
+TEST(UpdateGenTest, ReturnedUpdatesReplayOnATwinWorld) {
+  for (UpdateMode mode :
+       {UpdateMode::kTreePreserving, UpdateMode::kDagPreserving}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE((mode == UpdateMode::kDagPreserving ? "dag seed " : "tree seed ") +
+                   std::to_string(seed));
+      ObjectStore world;
+      ObjectStore twin;
+      Oid root;
+      const std::string prefix = "rp" + std::to_string(seed) + "_";
+      if (mode == UpdateMode::kDagPreserving) {
+        DagGenOptions dag_options;
+        dag_options.levels = 3;
+        dag_options.width = 8;
+        dag_options.seed = seed;
+        dag_options.oid_prefix = prefix;
+        auto dag = GenerateDag(&world, dag_options);
+        ASSERT_TRUE(dag.ok());
+        ASSERT_TRUE(GenerateDag(&twin, dag_options).ok());
+        root = dag->root;
+      } else {
+        TreeGenOptions tree_options;
+        tree_options.levels = 3;
+        tree_options.fanout = 3;
+        tree_options.seed = seed;
+        tree_options.oid_prefix = prefix;
+        auto tree = GenerateTree(&world, tree_options);
+        ASSERT_TRUE(tree.ok());
+        ASSERT_TRUE(GenerateTree(&twin, tree_options).ok());
+        root = tree->root;
+      }
+      UpdateGenOptions options;
+      options.mode = mode;
+      options.seed = seed;
+      options.p_insert = 0.4;
+      options.p_delete = 0.35;
+      options.p_modify = 0.25;
+      options.oid_prefix = prefix + "u";
+      UpdateGenerator generator(&world, root, options);
+      for (size_t step = 0; step < 300; ++step) {
+        auto update = generator.Step();
+        ASSERT_TRUE(update.ok()) << update.status().ToString();
+        // A fresh leaf exists only in the generating world so far.
+        if (update->kind == UpdateKind::kInsert &&
+            !twin.Contains(update->child)) {
+          const Object* leaf = world.Get(update->child);
+          ASSERT_NE(leaf, nullptr);
+          ASSERT_TRUE(twin.Put(*leaf).ok());
+        }
+        Status applied = twin.Apply(*update);
+        ASSERT_TRUE(applied.ok())
+            << "step " << step << ": " << update->ToString() << ": "
+            << applied.ToString();
+      }
+      EXPECT_EQ(StoreToString(twin), StoreToString(world));
+    }
+  }
 }
 
 TEST(UpdateGenTest, DagModeCreatesMultipleParentsButNoCycles) {
