@@ -7,18 +7,19 @@
 //
 // Comparison: the same base and update stream maintained under
 //   (a) a constant-path view by Algorithm 1, and
-//   (b) a wildcard view ("ROOT.*" select) by the general candidate-recheck
-//       maintainer.
-// Also reports the path-containment decision cost itself.
+//   (b) a wildcard view ("ROOT.*" select) by the discrimination network
+//       (GDN), whose work shows as support-edge propagations.
+// Also reports the path-containment decision cost itself. Every view is
+// checked against §4.4 recompute; the run exits 1 on any disagreement.
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
 #include "core/algorithm1.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/view_definition.h"
 #include "core/virtual_view.h"
+#include "ivm/gdn_listener.h"
 #include "oem/store.h"
 #include "path/path_expression.h"
 #include "util/stopwatch.h"
@@ -31,13 +32,14 @@ int main() {
 
   const size_t kUpdates = 300;
   std::printf(
-      "E8: simple views (Algorithm 1) vs path-expression views (general\n"
-      "maintainer); same tree and update stream, %zu updates\n\n",
+      "E8: simple views (Algorithm 1) vs path-expression views (GDN);\n"
+      "same tree and update stream, %zu updates\n\n",
       kUpdates);
 
   TablePrinter table(
-      {"view", "us/update", "candidates", "view size", "correct"});
+      {"view", "us/update", "propagations", "view size", "correct"});
 
+  bool all_correct = true;
   for (int variant = 0; variant < 2; ++variant) {
     ObjectStore store;
     TreeGenOptions options;
@@ -61,15 +63,15 @@ int main() {
 
     LocalAccessor accessor(&store);
     std::unique_ptr<Algorithm1Maintainer> algo;
-    std::unique_ptr<GeneralMaintainer> general;
+    std::unique_ptr<GdnListener> gdn;
     if (variant == 0) {
       algo = std::make_unique<Algorithm1Maintainer>(&view, &accessor, *def,
                                                     tree->root);
       store.AddListener(algo.get());
     } else {
-      general = std::make_unique<GeneralMaintainer>(&view, &store, *def,
-                                                    tree->root);
-      store.AddListener(general.get());
+      gdn = std::make_unique<GdnListener>(&view, &store, *def, tree->root);
+      bench::Check(gdn->Initialize());
+      store.AddListener(gdn.get());
     }
 
     UpdateGenOptions gen_options;
@@ -81,12 +83,15 @@ int main() {
                      : Status::Internal("stream failed"));
     double us = static_cast<double>(watch.ElapsedMicros()) / kUpdates;
 
+    if (gdn != nullptr) bench::Check(gdn->last_status());
+
     auto truth = EvaluateView(store, *def);
     bool correct = truth.ok() && view.BaseMembers() == *truth;
-    int64_t candidates =
-        general != nullptr ? general->stats().candidates_checked : 0;
+    all_correct = all_correct && correct;
+    int64_t propagations =
+        gdn != nullptr ? gdn->engine().stats().propagations : 0;
     table.Row({variant == 0 ? "constant path" : "ROOT.* wildcard",
-               Micros(us), Num(candidates), Num(view.size()),
+               Micros(us), Num(propagations), Num(view.size()),
                correct ? "yes" : "NO"});
   }
 
@@ -112,7 +117,12 @@ int main() {
 
   std::printf(
       "\nExpected shape (paper §6): the wildcard view selects far more\n"
-      "objects and every update spawns a candidate set to re-derive, so\n"
-      "per-update cost is substantially higher than Algorithm 1's.\n");
+      "objects and every update propagates through its memo network, so\n"
+      "it does more work per update than Algorithm 1's path-local match;\n"
+      "on this small base the wall-clock gap stays modest.\n");
+  if (!all_correct) {
+    std::fprintf(stderr, "E8: a view disagrees with recompute\n");
+    return 1;
+  }
   return 0;
 }

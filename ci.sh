@@ -50,6 +50,12 @@ echo "=== perf-smoke: discrimination-network floor (E21 --smoke, 1.5x bar) ==="
 ./build/bench/exp21_gdn --smoke
 
 echo
+echo "=== correctness-smoke: §6 path-expression + DAG views on the GDN vs recompute (E8, E9) ==="
+# Each exits 1 when any row's view disagrees with the §4.4 recomputation.
+./build/bench/exp8_path_expressions
+./build/bench/exp9_dag
+
+echo
 echo "=== paged: recovery + replication + engine suites on the PagedEngine ==="
 # The same durability and replication properties, with every warehouse
 # delegate store and follower re-pointed at the on-disk paged engine

@@ -429,8 +429,16 @@ Status GdnEngine::Apply(const Update& update, ViewStorage* out) {
   return Status::Ok();
 }
 
+Status GdnEngine::ApplyOrRebuild(const Update& update, ViewStorage* out) {
+  Status status = Apply(update, out);
+  if (status.ok() || !poisoned_) return status;
+  GSV_RETURN_IF_ERROR(Rebuild());
+  return Reconcile(out);
+}
+
 Status GdnEngine::Initialize() {
   poisoned_ = false;
+  stats_.matches_freed += static_cast<int64_t>(match_count());
   reach_.table.clear();
   for (MemoNode& sat : sats_) sat.table.clear();
   members_.clear();
@@ -655,6 +663,8 @@ Status GdnEngine::LoadFrom(std::istream& in) {
         sit->second.out.insert(key);
       }
     }
+    stats_.matches_freed += static_cast<int64_t>(node.table.size());
+    stats_.matches_created += static_cast<int64_t>(table.size());
     node.table = std::move(table);
     return true;
   };

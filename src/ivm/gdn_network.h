@@ -67,8 +67,9 @@ class GdnEngine {
   struct Stats {
     int64_t updates = 0;          // Apply() calls processed
     int64_t propagations = 0;     // support-edge additions + removals
-    int64_t matches_created = 0;  // partial matches born
-    int64_t matches_freed = 0;    // partial matches killed
+    // Conservation: matches_created - matches_freed == match_count().
+    int64_t matches_created = 0;  // partial matches born (or loaded)
+    int64_t matches_freed = 0;    // partial matches killed (or cleared)
     int64_t v_inserts = 0;        // membership deltas emitted
     int64_t v_deletes = 0;
     int64_t rebuilds = 0;         // Initialize()/Rebuild() runs
@@ -98,6 +99,10 @@ class GdnEngine {
   // ignored — the engine re-reads the base store, so reporting level 1
   // suffices. Returns FailedPrecondition once poisoned.
   Status Apply(const Update& update, ViewStorage* out);
+  // Apply(), healing a poisoned network in place: Rebuild() from the
+  // current base state, then Reconcile() emits whatever deltas `out` is
+  // missing (duplicates are §4.3 no-ops at the view).
+  Status ApplyOrRebuild(const Update& update, ViewStorage* out);
 
   // Diffs the engine's member set against `out` and emits the fixes; a
   // no-op when they already agree. Recovery runs this after loading or

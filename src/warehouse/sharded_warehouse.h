@@ -191,8 +191,8 @@ class ShardedWarehouse {
     Oid view_oid_;
   };
 
-  // One coordinator-owned general engine per non-simple view (DESIGN.md
-  // §4j). The shards keep "external" entries for these views (delegate
+  // One coordinator-owned discrimination network per non-simple view
+  // (DESIGN.md §4j). The shards keep "external" entries for these views (delegate
   // slices + value sync only); the coordinator runs the single network over
   // the shared source store — it sees every routed event before the
   // per-shard fault injectors, so engine state never diverges on a dropped
@@ -200,12 +200,11 @@ class ShardedWarehouse {
   struct CoordView {
     std::string name;
     size_t source_index = 0;
-    // Engines hold references into this copy; unique_ptr keeps it stable.
+    // The network holds references into this copy; unique_ptr keeps it
+    // stable.
     std::unique_ptr<ViewDefinition> def;
-    Warehouse::EngineKind engine = Warehouse::EngineKind::kGdn;
     std::unique_ptr<CoordStorage> storage;
     std::unique_ptr<GdnEngine> gdn;
-    std::unique_ptr<GeneralMaintainer> general;
   };
 
   void RouteEvent(size_t source_index, const UpdateEvent& event);
@@ -219,16 +218,13 @@ class ShardedWarehouse {
   // Builds the coordinator engine for a non-simple view (no-op when one
   // already exists, or when shard 0 maintains the view with Algorithm 1).
   Status EnsureCoordView(const std::string& name);
-  // Runs every coordinator engine bound to `source_index` over one routed
-  // event (re-stamping modify values from the source — the engines re-read
+  // Runs every coordinator network bound to `source_index` over one routed
+  // event (re-stamping modify values from the source — the networks re-read
   // store truth, so level 1 suffices). A poisoned network self-heals in
   // place: Rebuild + Reconcile, whose duplicate deltas are §4.3 no-ops.
   void ApplyCoordEvent(size_t source_index, const UpdateEvent& event);
   // Drains the deferred coordinator event queue (deferred-mode Phase B2).
   Status ApplyCoordPending();
-  // Recovery: re-derives the engine's member set from the current source
-  // and emits whatever deltas the recovered shard slices are missing.
-  Status ReconcileCoordView(CoordView& view);
   ThreadPool* Pool(size_t threads);
 
   uint32_t mask_ = 0;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "oem/store.h"
+
 namespace gsv {
 
 const char* ReportingLevelName(ReportingLevel level) {
@@ -27,6 +29,17 @@ Update UpdateEvent::ToUpdate() const {
                             new_value.value_or(Value()));
   }
   return Update();
+}
+
+Update UpdateEvent::ToUpdate(const ObjectStore& source) const {
+  Update update = ToUpdate();
+  if (kind == UpdateKind::kModify) {
+    const Object* object = source.Get(parent);
+    if (object != nullptr && object->IsAtomic()) {
+      update.new_value = object->value();
+    }
+  }
+  return update;
 }
 
 std::string UpdateEvent::ToString() const {

@@ -63,6 +63,10 @@ struct UpdateEvent {
 
   // The update as an Update struct (modify values only when level >= 2).
   Update ToUpdate() const;
+  // The same, with a modify's new value re-read from `source` when the
+  // target is still atomic there: level-1 events carry no values, and the
+  // GDN (and the delegate values it syncs) follow store truth.
+  Update ToUpdate(const ObjectStore& source) const;
 
   std::string ToString() const;
 };

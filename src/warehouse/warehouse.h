@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/algorithm1.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/view_definition.h"
 #include "ivm/gdn_network.h"
@@ -63,11 +62,9 @@ class Warehouse {
   // Which maintenance engine a view runs on. DefineView picks it from the
   // definition: simple views (§4.2) run Algorithm 1; the §6 relaxations
   // (path expressions, AND/OR, WITHIN, DAG bases) run the discrimination
-  // network (GDN), or the query-back GeneralMaintainer when the
-  // GSV_GENERAL_ENGINE=general environment override asks for it.
+  // network (GDN).
   enum class EngineKind {
     kAlgorithm1,
-    kGeneral,
     kGdn,
   };
 
@@ -376,13 +373,12 @@ class Warehouse {
   // Engine introspection (kAlgorithm1 for unknown names).
   EngineKind view_engine(const std::string& name) const;
   const GdnEngine* gdn_engine(const std::string& name) const;
-  const GeneralMaintainer* general_maintainer(const std::string& name) const;
   // Checkpoint-manifest plumbing a coordinator uses to rebuild its own
   // engines after recovery: the original definition text and source name.
   std::string view_definition_text(const std::string& name) const;
   std::string view_source(const std::string& name) const;
   // Per-view maintenance explanation (engine kind, GDN network size and
-  // propagation counters, general-engine cap hits); shards = 1.
+  // propagation counters); shards = 1.
   ShardedViewExplanation ExplainView(const std::string& name) const;
 
   ObjectStore& store() { return *store_; }
@@ -425,16 +421,14 @@ class Warehouse {
     std::unique_ptr<AuxiliaryCache> cache;
     std::unique_ptr<RemoteAccessor> accessor;
     // Exactly one engine drives membership. A shard-bound warehouse keeps
-    // general/gdn null even when `engine` says otherwise: the coordinator
-    // owns one engine over the whole source and redistributes the deltas,
-    // so the shard entry only syncs delegate values ("external" entry).
+    // gdn null even when `engine` says otherwise: the coordinator owns one
+    // network over the whole source and redistributes the deltas, so the
+    // shard entry only syncs delegate values ("external" entry).
     EngineKind engine = EngineKind::kAlgorithm1;
     std::unique_ptr<Algorithm1Maintainer> maintainer;
-    std::unique_ptr<GeneralMaintainer> general;
     std::unique_ptr<GdnEngine> gdn;
-    // Last-flushed engine counters (StorageQuiescent cost-sheet deltas).
+    // Last-flushed network counters (StorageQuiescent cost-sheet deltas).
     GdnEngine::Stats gdn_flushed;
-    int64_t general_caps_flushed = 0;
     // Where maintenance writes: the scoped storage when sharded, the view
     // itself otherwise.
     ViewStorage* storage() {

@@ -89,7 +89,7 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
     std::unordered_map<std::string, bool> edge_labels;
     std::unordered_map<std::string, bool> modify_labels;
     // Storage-level membership so a sharded slice answers for the whole
-    // view (the root's delegate may live at a peer shard). General-engine
+    // view (the root's delegate may live at a peer shard). GDN
     // views never split: a discrimination network is one stateful engine
     // per view (and DAG subtrees are not independent anyway), so the whole
     // view is one task — engines of different views still run in parallel.
@@ -124,8 +124,8 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
       }
 
       bool relevant = true;
-      // §5.1 screening applies to Algorithm 1 corridors only; a general
-      // engine must see every event (its screening memo IS the network).
+      // §5.1 screening applies to Algorithm 1 corridors only; the GDN must
+      // see every event (its screening memo IS the network).
       if (entry.engine == EngineKind::kAlgorithm1 &&
           event.level >= ReportingLevel::kWithValues) {
         if (event.kind == UpdateKind::kModify) {
@@ -169,34 +169,15 @@ Status Warehouse::ProcessPendingBatch(const BatchOptions& options) {
       SourceEntry& source = *sources_[entry.source_index];
       if (entry.engine != EngineKind::kAlgorithm1) {
         // One task per general view (never subtree-split), so this worker
-        // is the only one touching the view's engine; it reads the frozen
+        // is the only one touching the view's network; it reads the frozen
         // final source state and buffers its deltas like any other task.
-        GeneralMaintainer general(task.buffer.get(), source.store, entry.def,
-                                  source.root);
         for (const auto& [event, relevant] : task.events) {
-          Update update = event->ToUpdate();
-          if (update.kind == UpdateKind::kModify) {
-            const Object* object = source.store->Get(update.parent);
-            if (object != nullptr && object->IsAtomic()) {
-              update = Update::Modify(update.parent, update.old_value,
-                                      object->value());
-            }
-          }
-          Status status;
-          if (entry.gdn != nullptr) {
-            status = entry.gdn->Apply(update, task.buffer.get());
-          } else if (entry.general != nullptr) {
-            status = general.Maintain(update);
-          } else {
-            // Shard-bound external entry: delegate values only.
-            status = task.buffer->SyncUpdate(update);
-          }
+          const Update update = event->ToUpdate(*source.store);
+          // A shard-bound external entry syncs delegate values only.
+          Status status = entry.gdn != nullptr
+                              ? entry.gdn->Apply(update, task.buffer.get())
+                              : task.buffer->SyncUpdate(update);
           if (!status.ok() && task.status.ok()) task.status = status;
-        }
-        if (entry.general != nullptr) {
-          // The per-task maintainer dies here; bank its cap hits now.
-          costs_.general_caps_hit.fetch_add(general.stats().caps_hit,
-                                            std::memory_order_relaxed);
         }
         return;
       }

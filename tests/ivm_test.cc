@@ -2,8 +2,9 @@
 // maintainer for the §6 view classes Algorithm 1 cannot handle. The
 // randomized twin property test drives one source through tree- and
 // DAG-preserving update streams and demands byte-identity between the GDN
-// warehouse (K=1), the sharded coordinator (K=4), the §6 candidate-recheck
-// GeneralMaintainer, and the §4.4 full-recompute oracle. Durability tests
+// warehouse (K=1), the sharded coordinator (K=4), a standalone network on
+// the store's listener path, and the §4.4 full-recompute oracle; the
+// standalone network also checks counter conservation. Durability tests
 // kill the warehouse mid-batch and restore memo images from checkpoints;
 // the concurrency test (this binary carries the `gdn-paged` ctest label:
 // ci.sh re-runs it under ASan, TSan, and the paged-engine stages) drains
@@ -11,17 +12,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/recompute.h"
 #include "core/view_definition.h"
+#include "ivm/gdn_listener.h"
 #include "ivm/gdn_network.h"
 #include "oem/paged_engine.h"
 #include "oem/store.h"
@@ -110,8 +110,10 @@ class GdnPropertyTest : public ::testing::TestWithParam<GdnParam> {};
 
 // One source, four maintainers: the GDN warehouse (level-1 events — the
 // network re-reads store truth, so OIDs suffice), the 4-shard coordinator,
-// the GeneralMaintainer twin, and the §4.4 recompute oracle. All four must
-// agree at every batch boundary, byte for byte.
+// a standalone GdnListener, and the §4.4 recompute oracle. All four must
+// agree at every batch boundary, byte for byte. The standalone network
+// also keeps matches_created - matches_freed == match_count() after every
+// batch and across an explicit Rebuild().
 TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   const GdnParam& p = GetParam();
   ObjectStore source;
@@ -147,8 +149,15 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
   ObjectStore g_store;
   MaterializedView g_view(&g_store, *def);
   ASSERT_TRUE(g_view.Initialize(source).ok());
-  GeneralMaintainer general(&g_view, &source, *def, tree->root);
-  source.AddListener(&general);
+  GdnListener standalone(&g_view, &source, *def, tree->root);
+  ASSERT_TRUE(standalone.Initialize().ok());
+  source.AddListener(&standalone);
+  auto expect_conserved = [&standalone] {
+    const GdnEngine& engine = standalone.engine();
+    EXPECT_EQ(engine.stats().matches_created - engine.stats().matches_freed,
+              static_cast<int64_t>(engine.match_count()));
+  };
+  expect_conserved();
 
   ObjectStore r_store;
   MaterializedView r_view(&r_store, *def);
@@ -167,8 +176,8 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
     ASSERT_TRUE(warehouse.ProcessPendingBatch().ok())
         << warehouse.last_status().ToString();
     ASSERT_TRUE(sharded.ProcessPendingBatch(4).ok());
-    ASSERT_TRUE(general.last_status().ok())
-        << general.last_status().ToString();
+    ASSERT_TRUE(standalone.last_status().ok())
+        << standalone.last_status().ToString();
     ASSERT_TRUE(recompute.Recompute().ok());
 
     MaterializedView* w_view = warehouse.view("GV");
@@ -177,8 +186,14 @@ TEST_P(GdnPropertyTest, EnginesMatchOracleAndShardsByteIdentical) {
     EXPECT_EQ(ViewContentLines(*w_view), expected);
     EXPECT_EQ(sharded.ViewContents("GV"), expected);
     EXPECT_EQ(g_view.BaseMembers(), r_view.BaseMembers());
+    expect_conserved();
   }
-  source.RemoveListener(&general);
+  source.RemoveListener(&standalone);
+  // A rebuild clears every memo table and re-derives it: the cleared
+  // matches count as freed, so the law still holds.
+  ASSERT_TRUE(standalone.engine().Rebuild().ok());
+  EXPECT_EQ(standalone.engine().stats().rebuilds, 2);
+  expect_conserved();
 
   // The network actually propagated (no silent recompute fallback), and the
   // counters surfaced on both cost sheets.
@@ -239,27 +254,6 @@ TEST(GdnEngineSelectionTest, GeneralViewsGetTheNetworkAndExplainIt) {
   EXPECT_NE(explanation.ToString().find("engine: gdn"), std::string::npos);
 }
 
-TEST(GdnEngineSelectionTest, EnvOverrideSelectsGeneralMaintainer) {
-  ObjectStore source;
-  TreeGenOptions tree_options;
-  tree_options.seed = 13;
-  tree_options.oid_prefix = "sel3_";
-  auto tree = GenerateTree(&source, tree_options);
-  ASSERT_TRUE(tree.ok());
-
-  ::setenv("GSV_GENERAL_ENGINE", "general", 1);
-  ObjectStore store;
-  Warehouse warehouse(&store);
-  ASSERT_TRUE(
-      warehouse.ConnectSource(&source, tree->root, ReportingLevel::kOidsOnly)
-          .ok());
-  ASSERT_TRUE(warehouse.DefineView(GeneralDefinition(0, tree->root)).ok());
-  ::unsetenv("GSV_GENERAL_ENGINE");
-  EXPECT_EQ(warehouse.view_engine("GV"), Warehouse::EngineKind::kGeneral);
-  EXPECT_NE(warehouse.general_maintainer("GV"), nullptr);
-  EXPECT_EQ(warehouse.ExplainView("GV").engine, "general");
-}
-
 TEST(GdnEngineSelectionTest, AuxCachesRejectedForGeneralViews) {
   ObjectStore source;
   TreeGenOptions tree_options;
@@ -300,6 +294,9 @@ TEST(GdnEngineTest, MemoImageRoundTripIsByteStable) {
   loaded.SaveTo(second);
   EXPECT_EQ(first.str(), second.str());
   EXPECT_EQ(loaded.members(), engine.members());
+  // Loaded matches count as created, so the counter law holds here too.
+  EXPECT_EQ(loaded.stats().matches_created - loaded.stats().matches_freed,
+            static_cast<int64_t>(loaded.match_count()));
 }
 
 TEST(GdnEngineTest, MalformedImageIsRejectedAndRebuildRecovers) {
@@ -349,28 +346,6 @@ TEST(GdnEngineTest, PropagationBudgetPoisonsAndRebuildHeals) {
   EXPECT_FALSE(engine.poisoned());
   ASSERT_TRUE(engine.Reconcile(&view).ok());
   EXPECT_EQ(view.BaseMembers(), OidSet({P1(), P3(), Oid("P9")}));
-}
-
-TEST(GeneralMaintainerTest, SafetyCapsAreCountedWhenSearchTruncates) {
-  ObjectStore store;
-  ASSERT_TRUE(BuildPersonDb(&store).ok());
-  auto def = ViewDefinition::Parse(
-      "define mview V as: SELECT ROOT.* X WHERE X.name = 'John'");
-  ASSERT_TRUE(def.ok());
-
-  ObjectStore view_store;
-  MaterializedView view(&view_store, *def);
-  ASSERT_TRUE(view.Initialize(store).ok());
-  GeneralMaintainer::Options tiny;
-  tiny.max_depth = 1;  // the person DB is deeper than one level
-  GeneralMaintainer maintainer(&view, &store, *def, Root(), tiny);
-
-  ASSERT_TRUE(store.PutAtomic(Oid("N9"), "name", Value::Str("John")).ok());
-  ASSERT_TRUE(store.PutSet(Oid("P9"), "advisee", {Oid("N9")}).ok());
-  ASSERT_TRUE(store.Insert(P3(), Oid("P9")).ok());
-  (void)maintainer.Maintain(Update::Insert(P3(), Oid("P9")));
-  EXPECT_GT(maintainer.stats().caps_hit, 0)
-      << "a truncated search must be visible on the counter";
 }
 
 // ------------------------------------------------------------ WITHIN flips

@@ -8,12 +8,12 @@
 #include "core/algorithm1.h"
 #include "core/consistency.h"
 #include "core/union_view.h"
-#include "core/general_maintainer.h"
 #include "core/materialized_view.h"
 #include "core/recompute.h"
 #include "core/swizzle.h"
 #include "core/view_definition.h"
 #include "core/virtual_view.h"
+#include "ivm/gdn_listener.h"
 #include "oem/store.h"
 #include "relational/counting.h"
 #include "relational/flatten.h"
@@ -124,8 +124,8 @@ TEST_P(MaintainerPropertyTest, Algorithm1MatchesRecomputeOracle) {
   EXPECT_TRUE(report.consistent) << report.ToString();
 }
 
-// The generalized candidate-recheck maintainer agrees with Algorithm 1 on
-// simple views (they implement the same specification).
+// The discrimination network agrees with Algorithm 1 on simple views (they
+// implement the same specification).
 TEST_P(MaintainerPropertyTest, GeneralMaintainerMatchesAlgorithm1) {
   BuildBases();
   ViewDefinition def = Def();
@@ -140,7 +140,8 @@ TEST_P(MaintainerPropertyTest, GeneralMaintainerMatchesAlgorithm1) {
   ObjectStore general_store;
   MaterializedView general_view(&general_store, def);
   ASSERT_TRUE(general_view.Initialize(subject_base_).ok());
-  GeneralMaintainer general(&general_view, &subject_base_, def, root_);
+  GdnListener general(&general_view, &subject_base_, def, root_);
+  ASSERT_TRUE(general.Initialize().ok());
   subject_base_.AddListener(&general);
 
   UpdateGenOptions gen_options;
@@ -154,8 +155,8 @@ TEST_P(MaintainerPropertyTest, GeneralMaintainerMatchesAlgorithm1) {
   }
 }
 
-// On DAG-shaped streams (multiple parents), the general maintainer tracks
-// the recomputed truth (§6's DAG relaxation).
+// On DAG-shaped streams (multiple parents), the discrimination network
+// tracks the recomputed truth (§6's DAG relaxation).
 TEST_P(MaintainerPropertyTest, GeneralMaintainerHandlesDagStreams) {
   BuildBases();
   ViewDefinition def = Def();
@@ -163,7 +164,8 @@ TEST_P(MaintainerPropertyTest, GeneralMaintainerHandlesDagStreams) {
   ObjectStore view_store;
   MaterializedView view(&view_store, def);
   ASSERT_TRUE(view.Initialize(subject_base_).ok());
-  GeneralMaintainer general(&view, &subject_base_, def, root_);
+  GdnListener general(&view, &subject_base_, def, root_);
+  ASSERT_TRUE(general.Initialize().ok());
   subject_base_.AddListener(&general);
 
   UpdateGenOptions gen_options;

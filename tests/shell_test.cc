@@ -58,10 +58,42 @@ TEST(ShellTest, WildcardViewsUseGeneralMaintainer) {
   Must(shell, "put set ROOT person P1");
   std::string defined = Must(
       shell, "define mview VJ as: SELECT ROOT.* X WHERE X.name = 'John'");
-  EXPECT_NE(defined.find("[general maintainer]"), std::string::npos);
+  EXPECT_NE(defined.find("[gdn]"), std::string::npos);
   EXPECT_NE(defined.find("{P1}"), std::string::npos);
   Must(shell, "modify N1 string Jane");
   EXPECT_NE(Must(shell, "views").find("VJ = {}"), std::string::npos);
+
+  // `put` is silent: a subtree built with it and attached by one insert
+  // must still reach the live network, inner witnesses included.
+  Must(shell, "put atomic N9 name string John");
+  Must(shell, "put set P9 advisee N9");
+  Must(shell, "put set S9 group P9");
+  Must(shell, "insert P1 S9");
+  EXPECT_EQ(Must(shell, "views"), "VJ = {P9}");
+}
+
+// The intersection database of an ANS INT view is not event-monitored, so
+// no engine can keep such a live view exact; defining one must fail
+// instead of drifting from what the same query returns.
+TEST(ShellTest, AnsIntMaterializedViewsAreRejected) {
+  Shell shell;
+  Must(shell, "put atomic A1 age int 45");
+  Must(shell, "put set P1 professor A1");
+  Must(shell, "put set ROOT person P1");
+  Must(shell, "put set VJ allowed P1");
+  Must(shell, "register OK VJ");
+  Result<std::string> defined = shell.ProcessLine(
+      "define mview V as: SELECT ROOT.? X WHERE X.age > 40 ANS INT OK");
+  EXPECT_EQ(defined.status().code(), StatusCode::kInvalidArgument)
+      << (defined.ok() ? *defined : defined.status().ToString());
+  EXPECT_EQ(Must(shell, "views"), "no materialized views");
+
+  // The query itself still answers within OK.
+  Must(shell, "put atomic A3 age int 50");
+  Must(shell, "put set P3 professor A3");
+  Must(shell, "insert ROOT P3");
+  EXPECT_EQ(Must(shell, "query SELECT ROOT.? X WHERE X.age > 40 ANS INT OK"),
+            "<ANS1, answer, set, {P1}>");
 }
 
 TEST(ShellTest, VirtualViewsAndDatabases) {
