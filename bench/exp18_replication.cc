@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
 
   Stopwatch write_watch;
   Check(generator.Run(1).status());
-  Check(promoted.ProcessPending());
+  Check(promoted.ProcessPendingBatch());
   int64_t first_write_micros = write_watch.ElapsedMicros();
 
   std::printf("\npromotion (epoch %llu -> %llu, fenced old primary)\n",

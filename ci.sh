@@ -72,12 +72,12 @@ GSV_STORAGE_ENGINE=paged:8:4096:compressed \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -L paged
 
 echo
-echo "=== asan: robustness + fault-injection + durability + replication tests under address;undefined ==="
+echo "=== asan: robustness + fault-injection + durability + replication + warehouse tests under address;undefined ==="
 cmake -B build-asan -S . -DGSV_SANITIZE="address;undefined" >/dev/null
 cmake --build build-asan -j "${JOBS}" --target gsv_robustness_test \
   --target gsv_fault_tolerance_test --target gsv_recovery_test \
   --target gsv_replication_test --target gsv_storage_engine_test \
-  --target gsv_ivm_test --target gsv_sweep_test
+  --target gsv_ivm_test --target gsv_sweep_test --target gsv_warehouse_test
 # The gdn suite runs under ASan too: memo images load from checkpoint
 # bytes and poisoned networks rebuild in place.
 ctest --test-dir build-asan --output-on-failure -j "${JOBS}" -L 'asan|gdn'

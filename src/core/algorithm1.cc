@@ -14,6 +14,14 @@ Status Algorithm1Maintainer::ValidateDefinition(const ViewDefinition& def) {
   return Status::Ok();
 }
 
+SimpleCorridor::SimpleCorridor(const ViewDefinition& def)
+    : sel_path(def.sel_path()),
+      cond_path(def.cond_path()),
+      full_path(def.full_path()),
+      pred(def.predicate()) {
+  assert(Algorithm1Maintainer::ValidateDefinition(def).ok());
+}
+
 Algorithm1Maintainer::Algorithm1Maintainer(ViewStorage* view,
                                            BaseAccessor* accessor,
                                            const ViewDefinition& def, Oid root,
@@ -22,12 +30,15 @@ Algorithm1Maintainer::Algorithm1Maintainer(ViewStorage* view,
       accessor_(accessor),
       options_(options),
       root_(std::move(root)),
-      sel_path_(def.sel_path()),
-      cond_path_(def.cond_path()),
-      full_path_(def.full_path()),
-      pred_(def.predicate()) {
-  assert(ValidateDefinition(def).ok());
-}
+      corridor_(std::make_shared<const SimpleCorridor>(def)) {}
+
+Algorithm1Maintainer::Algorithm1Maintainer(
+    ViewStorage* view, BaseAccessor* accessor,
+    std::shared_ptr<const SimpleCorridor> corridor, Oid root)
+    : view_(view),
+      accessor_(accessor),
+      root_(std::move(root)),
+      corridor_(std::move(corridor)) {}
 
 Status Algorithm1Maintainer::Maintain(const Update& update) {
   ++stats_.updates;
@@ -53,7 +64,7 @@ void Algorithm1Maintainer::OnUpdate(const ObjectStore& store,
 
 bool Algorithm1Maintainer::VerifySelected(const Oid& y) {
   if (!options_.verify_candidates) return true;
-  return accessor_->VerifyPath(root_, y, sel_path_);
+  return accessor_->VerifyPath(root_, y, corridor_->sel_path);
 }
 
 // When insert(N1,N2) occurs:
@@ -61,17 +72,18 @@ bool Algorithm1Maintainer::VerifySelected(const Oid& y) {
 //   then S = eval(N2, p, cond);
 //        for all X in S: V_insert(MV, MV.Y) where Y = ancestor(X, cond_path).
 Status Algorithm1Maintainer::OnInsert(const Update& update) {
+  const SimpleCorridor& c = *corridor_;
   GSV_ASSIGN_OR_RETURN(Object n2, accessor_->Fetch(update.child));
   bool matched = false;
   for (const Path& rp : accessor_->PathsFromRoot(root_, update.parent)) {
     const size_t k = rp.size();
-    if (k + 1 > full_path_.size()) continue;
-    if (!full_path_.StartsWith(rp)) continue;
-    if (full_path_.label(k) != n2.label()) continue;
+    if (k + 1 > c.full_path.size()) continue;
+    if (!c.full_path.StartsWith(rp)) continue;
+    if (c.full_path.label(k) != n2.label()) continue;
     matched = true;
-    const Path p = full_path_.Suffix(k + 1);
-    for (const Oid& x : accessor_->Eval(update.child, p, pred_)) {
-      for (const Oid& y : accessor_->Ancestors(x, cond_path_)) {
+    const Path p = c.full_path.Suffix(k + 1);
+    for (const Oid& x : accessor_->Eval(update.child, p, c.pred)) {
+      for (const Oid& y : accessor_->Ancestors(x, c.cond_path)) {
         if (!VerifySelected(y)) continue;
         GSV_ASSIGN_OR_RETURN(Object y_object, accessor_->Fetch(y));
         GSV_RETURN_IF_ERROR(view_->VInsert(y_object));
@@ -101,26 +113,27 @@ Status Algorithm1Maintainer::OnInsert(const Update& update) {
 // select structure of the detached subtree — the objects in
 // N2.(sel remainder) — which is update-order-insensitive.
 Status Algorithm1Maintainer::OnDelete(const Update& update) {
+  const SimpleCorridor& c = *corridor_;
   GSV_ASSIGN_OR_RETURN(Object n2, accessor_->Fetch(update.child));
   bool matched = false;
   // path(ROOT,N1) is unaffected by removing the N1->N2 edge below N1.
   for (const Path& rp : accessor_->PathsFromRoot(root_, update.parent)) {
     const size_t k = rp.size();
-    if (k + 1 > full_path_.size()) continue;
-    if (!full_path_.StartsWith(rp)) continue;
-    if (full_path_.label(k) != n2.label()) continue;
+    if (k + 1 > c.full_path.size()) continue;
+    if (!c.full_path.StartsWith(rp)) continue;
+    if (c.full_path.label(k) != n2.label()) continue;
     matched = true;
-    const Path p = full_path_.Suffix(k + 1);
+    const Path p = c.full_path.Suffix(k + 1);
 
-    if (k + 1 <= sel_path_.size()) {
+    if (k + 1 <= c.sel_path.size()) {
       // Select region: the subtree's selected-level objects lost this
       // derivation from ROOT (the detached subtree stays evaluable).
-      const Path sel_rest = sel_path_.Suffix(k + 1);
+      const Path sel_rest = c.sel_path.Suffix(k + 1);
       for (const Oid& y :
            accessor_->Eval(update.child, sel_rest, std::nullopt)) {
         if (!view_->ContainsBase(y)) continue;
         if (options_.verify_candidates &&
-            accessor_->VerifyPath(root_, y, sel_path_)) {
+            accessor_->VerifyPath(root_, y, c.sel_path)) {
           continue;  // still derivable some other way; keep it
         }
         GSV_RETURN_IF_ERROR(view_->VDelete(y));
@@ -130,12 +143,12 @@ Status Algorithm1Maintainer::OnDelete(const Update& update) {
       // Condition region: Y sits above the deleted edge; if the detached
       // subtree held a witness, re-examine Y's condition because other
       // descendants may still satisfy it.
-      if (!accessor_->EvalAny(update.child, p, pred_)) continue;
-      const Path q = cond_path_.Prefix(k - sel_path_.size());
+      if (!accessor_->EvalAny(update.child, p, c.pred)) continue;
+      const Path q = c.cond_path.Prefix(k - c.sel_path.size());
       for (const Oid& y : accessor_->Ancestors(update.parent, q)) {
         if (!view_->ContainsBase(y)) continue;
         ++stats_.rechecks;
-        if (!accessor_->EvalAny(y, cond_path_, pred_)) {
+        if (!accessor_->EvalAny(y, c.cond_path, c.pred)) {
           GSV_RETURN_IF_ERROR(view_->VDelete(y));
           ++stats_.v_deletes;
         }
@@ -153,22 +166,23 @@ Status Algorithm1Maintainer::OnDelete(const Update& update) {
 //        else if cond(oldv) and eval(Y, cond_path, cond) = ∅
 //             then V_delete(MV, MV.Y).
 Status Algorithm1Maintainer::OnModify(const Update& update) {
-  if (!pred_.has_value()) return Status::Ok();  // no condition: membership
-                                                // depends on reachability only
-  if (!accessor_->MatchesRootPath(root_, update.parent, full_path_)) {
+  const SimpleCorridor& c = *corridor_;
+  // No condition: membership depends on reachability only.
+  if (!c.pred.has_value()) return Status::Ok();
+  if (!accessor_->MatchesRootPath(root_, update.parent, c.full_path)) {
     return Status::Ok();
   }
   ++stats_.matched;
 
-  for (const Oid& y : accessor_->Ancestors(update.parent, cond_path_)) {
-    if (pred_->Holds(update.new_value)) {
+  for (const Oid& y : accessor_->Ancestors(update.parent, c.cond_path)) {
+    if (c.pred->Holds(update.new_value)) {
       if (!VerifySelected(y)) continue;
       GSV_ASSIGN_OR_RETURN(Object y_object, accessor_->Fetch(y));
       GSV_RETURN_IF_ERROR(view_->VInsert(y_object));
       ++stats_.v_inserts;
-    } else if (pred_->Holds(update.old_value)) {
+    } else if (c.pred->Holds(update.old_value)) {
       ++stats_.rechecks;
-      if (!accessor_->EvalAny(y, cond_path_, pred_)) {
+      if (!accessor_->EvalAny(y, c.cond_path, c.pred)) {
         GSV_RETURN_IF_ERROR(view_->VDelete(y));
         ++stats_.v_deletes;
       }

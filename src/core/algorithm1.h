@@ -2,6 +2,7 @@
 #define GSV_CORE_ALGORITHM1_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "core/base_accessor.h"
@@ -12,6 +13,17 @@
 #include "util/status.h"
 
 namespace gsv {
+
+// The constant corridor of a simple view that Algorithm 1 matches updates
+// against: sel_path, cond_path, their concatenation and the predicate.
+struct SimpleCorridor {
+  explicit SimpleCorridor(const ViewDefinition& def);
+
+  Path sel_path;
+  Path cond_path;
+  Path full_path;                  // sel_path.cond_path
+  std::optional<Predicate> pred;   // nullopt = no WHERE clause
+};
 
 // Algorithm 1 (paper §4.3): incremental maintenance of a *simple*
 // materialized view — constant sel_path/cond_path, single predicate,
@@ -73,6 +85,11 @@ class Algorithm1Maintainer : public UpdateListener {
   }
   Algorithm1Maintainer(ViewStorage* view, BaseAccessor* accessor,
                        const ViewDefinition& def, Oid root, Options options);
+  // Shares an already built corridor, so a maintainer per task costs no
+  // path copies (the warehouse builds one per drain task).
+  Algorithm1Maintainer(ViewStorage* view, BaseAccessor* accessor,
+                       std::shared_ptr<const SimpleCorridor> corridor,
+                       Oid root);
 
   // Processes one base update (call right after the update is applied and
   // before any further update, §4.3).
@@ -102,10 +119,7 @@ class Algorithm1Maintainer : public UpdateListener {
   BaseAccessor* accessor_;
   Options options_;
   Oid root_;
-  Path sel_path_;
-  Path cond_path_;
-  Path full_path_;                  // sel_path.cond_path
-  std::optional<Predicate> pred_;   // nullopt = no WHERE clause
+  std::shared_ptr<const SimpleCorridor> corridor_;
   Stats stats_;
   Status last_status_;
 };

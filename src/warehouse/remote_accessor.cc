@@ -4,14 +4,18 @@
 
 namespace gsv {
 
+bool RemoteAccessor::EventKnowsRootPath(const Oid& n) const {
+  // Level 3 events carry path(ROOT, N) for the affected object (unless the
+  // source reported it ambiguous: no OIDs).
+  return event_ != nullptr && event_->level >= ReportingLevel::kWithRootPath &&
+         event_->parent == n &&
+         (!event_->root_path.has_value() || !event_->root_path->oids.empty());
+}
+
 std::vector<Path> RemoteAccessor::PathsFromRoot(const Oid& root,
                                                 const Oid& n) {
   ++stats_.paths_from_root;
-  // Level 3 events carry path(ROOT, N) for the affected object (unless the
-  // source reported it ambiguous: no OIDs).
-  if (event_ != nullptr && event_->level >= ReportingLevel::kWithRootPath &&
-      event_->parent == n &&
-      (!event_->root_path.has_value() || !event_->root_path->oids.empty())) {
+  if (EventKnowsRootPath(n)) {
     Hit();
     if (!event_->root_path.has_value()) return {};  // unreachable from root
     return {event_->root_path->labels};
@@ -101,6 +105,14 @@ bool RemoteAccessor::VerifyPath(const Oid& root, const Oid& y,
     return false;
   }
   return *verified;
+}
+
+bool RemoteAccessor::MatchesRootPath(const Oid& root, const Oid& n,
+                                     const Path& p) {
+  if (EventKnowsRootPath(n) || cache_ != nullptr) {
+    return BaseAccessor::MatchesRootPath(root, n, p);
+  }
+  return VerifyPath(root, n, p);
 }
 
 Result<Object> RemoteAccessor::Fetch(const Oid& oid) {

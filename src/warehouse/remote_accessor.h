@@ -45,9 +45,14 @@ class RemoteAccessor : public BaseAccessor {
   std::vector<Oid> Eval(const Oid& n, const Path& p,
                         const std::optional<Predicate>& pred) override;
   bool VerifyPath(const Oid& root, const Oid& y, const Path& p) override;
+  // Level-3 events and the cache answer from path(ROOT, N); otherwise one
+  // metered existence probe, which, unlike a fetched path(ROOT, N)
+  // listing, has no path cap on DAG bases.
+  bool MatchesRootPath(const Oid& root, const Oid& n, const Path& p) override;
   Result<Object> Fetch(const Oid& oid) override;
 
  private:
+  bool EventKnowsRootPath(const Oid& n) const;
   void Hit() { ++costs_->cache_hits; }
   void Miss() { ++costs_->cache_misses; }
   void NoteError(const Status& status) {

@@ -99,7 +99,6 @@ class ShardedWarehouse {
   // redistribute the foreign-op outboxes in deterministic shard order;
   // sweep; commit per-shard durability. Appends one DrainTiming.
   Status ProcessPendingBatch(size_t threads);
-  Status ProcessPending() { return ProcessPendingBatch(1); }
 
   const std::vector<DrainTiming>& drain_timings() const { return timings_; }
   void clear_drain_timings() { timings_.clear(); }

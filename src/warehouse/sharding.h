@@ -84,7 +84,7 @@ inline uint32_t OwnerOfOp(const ForeignViewOp& op, uint32_t mask) {
 // in MV"); the resolver is the cross-shard accessor stub that answers for
 // the whole warehouse. During a batch drain the coordinator freezes a
 // membership snapshot (evaluation reads a consistent pre-drain state, like
-// any two parallel batch workers); inline dispatch probes the owning shard
+// any two parallel batch workers); an inline event probes the owning shard
 // live.
 class CrossShardResolver {
  public:

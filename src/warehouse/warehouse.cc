@@ -214,16 +214,17 @@ void Warehouse::RecomputeRelevantLabels(ViewEntry& entry) {
   const Object* root_object = source.store->Get(source.root);
   std::string root_label =
       root_object != nullptr ? root_object->label() : std::string();
-  size_t feasible = knowledge_.FeasiblePrefix(root_label, entry.full_path);
+  const Path& full_path = entry.corridor->full_path;
+  size_t feasible = knowledge_.FeasiblePrefix(root_label, full_path);
   for (size_t i = 0; i < feasible; ++i) {
-    entry.relevant_labels.insert(entry.full_path.label(i));
+    entry.relevant_labels.insert(full_path.label(i));
   }
   // A modify can only matter when the full path is feasible, the view has
   // a condition, and the modified object carries the condition's terminal
   // label (path(ROOT,N) = sel_path.cond_path implies label(N) is the last
   // corridor label).
-  entry.modify_relevant = feasible == entry.full_path.size() &&
-                          entry.def.predicate().has_value();
+  entry.modify_relevant =
+      feasible == full_path.size() && entry.corridor->pred.has_value();
 }
 
 Result<size_t> Warehouse::ResolveSourceIndex(
@@ -271,9 +272,7 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   if (simple) {
     // The constant-path projections (and the screening labels derived from
     // them) exist only for the simple shape.
-    entry->sel_path = def.sel_path();
-    entry->cond_path = def.cond_path();
-    entry->full_path = def.full_path();
+    entry->corridor = std::make_shared<const SimpleCorridor>(def);
     RecomputeRelevantLabels(*entry);
   }
 
@@ -294,7 +293,7 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
     entry->cache = std::make_unique<AuxiliaryCache>(
         cache_mode == CacheMode::kFull ? AuxiliaryCache::Mode::kFull
                                        : AuxiliaryCache::Mode::kLabelsOnly,
-        source.root, entry->full_path, options_.aux_engine_factory);
+        source.root, entry->corridor->full_path, options_.aux_engine_factory);
   }
   if (binding_.has_value()) {
     entry->scoped = std::make_unique<ShardScopedStorage>(
@@ -306,7 +305,7 @@ Result<std::unique_ptr<Warehouse::ViewEntry>> Warehouse::BuildViewEntry(
   if (entry->cache != nullptr) entry->accessor->set_cache(entry->cache.get());
   if (entry->engine == EngineKind::kAlgorithm1) {
     entry->maintainer = std::make_unique<Algorithm1Maintainer>(
-        entry->storage(), entry->accessor.get(), def, source.root);
+        entry->storage(), entry->accessor.get(), entry->corridor, source.root);
   } else if (!binding_.has_value()) {
     // The network reads the base store directly (centralized setting;
     // query-backs are not metered for it — see DESIGN.md §4j). A
@@ -484,49 +483,8 @@ void Warehouse::Deliver(size_t source_index, const UpdateEvent& event) {
     pending_.emplace_back(source_index, event);
     return;
   }
-  DispatchEvent(source_index, event);
-  PruneCaches();
-  LogCommit();  // inline dispatch forms its own commit group
-  StorageQuiescent();
-}
-
-void Warehouse::DispatchEvent(size_t source_index, const UpdateEvent& event) {
-  ++costs_.events_received;
-  int64_t queries_before = costs_.source_queries;
-  for (auto& entry : views_) {
-    if (entry->source_index != source_index) continue;
-    if (entry->stale) {
-      // Opportunistic recovery: a new event is the inline dispatch's only
-      // chance to notice the source came back. The circuit breaker keeps
-      // the probe cheap while the source is still down.
-      TryResyncView(*entry, /*force=*/false);
-      if (entry->stale) {
-        BufferStaleEvent(*entry, event);
-        continue;
-      }
-      // Resynced just now from the current source state, which already
-      // includes this event's update; handling it below is a redundant
-      // (convergent) replay, same as a deferred drain.
-    }
-    entry->accessor->ClearError();
-    Status status = HandleEventForView(*entry, event);
-    if (status.ok()) status = entry->accessor->last_error();
-    if (!status.ok()) {
-      if (IsSourceFailure(status) ||
-          (entry->gdn != nullptr && entry->gdn->poisoned())) {
-        // Graceful degradation: the view keeps serving its last consistent
-        // state; the event replays after resync. A poisoned network (its
-        // propagation budget blew) takes the same road — the resync
-        // recompute + Rebuild() restores it.
-        Quarantine(*entry, status);
-        BufferStaleEvent(*entry, event);
-      } else {
-        last_status_ = status;
-        entry->sweep_full_due = true;  // the step may have left extras
-      }
-    }
-  }
-  if (costs_.source_queries == queries_before) ++costs_.events_local_only;
+  const EventRef one(source_index, &event);
+  Drain({&one, 1}, BatchOptions{}, /*inline_event=*/true);
 }
 
 Status Warehouse::SetFaultInjector(const std::string& source_name,
@@ -638,9 +596,15 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
   std::vector<UpdateEvent> replay;
   replay.swap(entry.stale_events);
   for (size_t i = 0; i < replay.size(); ++i) {
-    entry.accessor->ClearError();
-    Status replay_status = HandleEventForView(entry, replay[i]);
-    if (replay_status.ok()) replay_status = entry.accessor->last_error();
+    // The corridor cache was rebuilt from the same current state, so the
+    // events only go through the maintenance step.
+    const UpdateEvent& event = replay[i];
+    const bool relevant = entry.engine != EngineKind::kAlgorithm1 ||
+                          event.level < ReportingLevel::kWithValues ||
+                          EventRelevant(entry, event);
+    Status replay_status =
+        MaintainEvent(entry, event, relevant, entry.storage(),
+                      entry.accessor.get(), entry.maintainer.get());
     if (!replay_status.ok()) {
       if (IsSourceFailure(replay_status)) {
         // The source died again mid-replay: back to quarantine with the
@@ -673,12 +637,6 @@ Status Warehouse::TryResyncView(ViewEntry& entry, bool force) {
   return Status::Ok();
 }
 
-void Warehouse::TryResyncStaleViews() {
-  for (auto& entry : views_) {
-    if (entry->stale) TryResyncView(*entry, /*force=*/false);
-  }
-}
-
 Status Warehouse::ResyncStaleViews() {
   Status first_error;
   for (auto& entry : views_) {
@@ -693,47 +651,6 @@ Status Warehouse::ResyncStaleViews() {
   return first_error;
 }
 
-size_t Warehouse::CompactPending() {
-  std::vector<std::pair<size_t, UpdateEvent>> compacted;
-  compacted.reserve(pending_.size());
-  size_t removed = 0;
-  for (auto& item : pending_) {
-    if (!compacted.empty()) {
-      auto& [top_source, top] = compacted.back();
-      const auto& [source, event] = item;
-      if (top_source == source) {
-        bool same_edge = event.kind != UpdateKind::kModify &&
-                         top.kind != UpdateKind::kModify &&
-                         top.parent == event.parent &&
-                         top.child == event.child;
-        bool cancels =
-            same_edge &&
-            ((top.kind == UpdateKind::kInsert &&
-              event.kind == UpdateKind::kDelete) ||
-             (top.kind == UpdateKind::kDelete &&
-              event.kind == UpdateKind::kInsert));
-        if (cancels) {
-          compacted.pop_back();
-          removed += 2;
-          continue;
-        }
-        if (top.kind == UpdateKind::kModify &&
-            event.kind == UpdateKind::kModify &&
-            top.parent == event.parent) {
-          UpdateEvent merged = event;  // newer snapshot and new_value
-          if (top.old_value.has_value()) merged.old_value = top.old_value;
-          top = std::move(merged);
-          ++removed;
-          continue;
-        }
-      }
-    }
-    compacted.push_back(std::move(item));
-  }
-  pending_ = std::move(compacted);
-  return removed;
-}
-
 Status Warehouse::CollectSuspects(const ViewEntry& entry,
                                   RemoteAccessor* accessor,
                                   const std::vector<const UpdateEvent*>& events,
@@ -746,23 +663,24 @@ Status Warehouse::CollectSuspects(const ViewEntry& entry,
   // ancestor of P. If neither is, the witness was modified. Inserts need
   // no suspects: membership is monotone in edges, and every member an
   // insert added was verified on the final state.
-  const Path& sel = entry.sel_path;
-  const Path& cond = entry.cond_path;
-  const bool has_cond = entry.def.predicate().has_value();
+  const SimpleCorridor& corridor = *entry.corridor;
+  const Path& sel = corridor.sel_path;
+  const Path& cond = corridor.cond_path;
+  const bool has_cond = corridor.pred.has_value();
   for (const UpdateEvent* event : events) {
     accessor->ClearError();
     if (event->kind == UpdateKind::kModify) {
-      if (!has_cond || entry.full_path.empty()) continue;
+      if (!has_cond || corridor.full_path.empty()) continue;
       // Level 1 carries no label; ancestor(N, cond_path) is empty anyway
       // when N does not end the corridor.
       if (event->parent_object.has_value() &&
-          event->parent_object->label() != entry.full_path.back()) {
+          event->parent_object->label() != corridor.full_path.back()) {
         continue;
       }
       // A witness dies only by taking a value that fails the condition, and
       // an object's last (or coalesced) modify carries its final value.
       if (event->new_value.has_value() &&
-          entry.def.predicate()->Holds(*event->new_value)) {
+          corridor.pred->Holds(*event->new_value)) {
         continue;
       }
       for (const Oid& y : accessor->Ancestors(event->parent, cond)) {
@@ -808,15 +726,16 @@ Status Warehouse::CollectUnderivable(ViewEntry& entry,
                                      const OidSet& candidates,
                                      std::vector<Oid>* doomed) {
   const SourceEntry& source = *sources_[entry.source_index];
+  const SimpleCorridor& corridor = *entry.corridor;
   int64_t verified = 0;
   for (const Oid& member : candidates) {
     if (!entry.view->ContainsBase(member)) continue;
     ++verified;
     accessor->ClearError();
-    bool derivable = accessor->VerifyPath(source.root, member, entry.sel_path);
-    if (derivable && entry.def.predicate().has_value()) {
-      derivable =
-          accessor->EvalAny(member, entry.cond_path, entry.def.predicate());
+    bool derivable =
+        accessor->VerifyPath(source.root, member, corridor.sel_path);
+    if (derivable && corridor.pred.has_value()) {
+      derivable = accessor->EvalAny(member, corridor.cond_path, corridor.pred);
     }
     if (!accessor->last_error().ok()) {
       // The empty/false answer came from a failed query-back, not from the
@@ -885,9 +804,8 @@ Status Warehouse::RunSweepJobs(std::vector<SweepJob>* jobs, ThreadPool* pool) {
   return first_error;
 }
 
-Status Warehouse::SweepDrain(
-    const std::vector<std::pair<size_t, UpdateEvent>>& events, bool verify,
-    ThreadPool* pool) {
+Status Warehouse::SweepDrain(std::span<const EventRef> events, bool verify,
+                             ThreadPool* pool) {
   std::vector<SweepJob> jobs;
   for (auto& entry : views_) {
     // Stale views are swept after resync instead.
@@ -897,7 +815,7 @@ Status Warehouse::SweepDrain(
     job.full = entry->sweep_full_due;
     job.verify = verify;
     for (const auto& [source_index, event] : events) {
-      if (source_index == entry->source_index) job.events.push_back(&event);
+      if (source_index == entry->source_index) job.events.push_back(event);
     }
     if (!job.events.empty()) jobs.push_back(std::move(job));
   }
@@ -927,90 +845,15 @@ void Warehouse::PruneCaches() {
   }
 }
 
-Status Warehouse::ProcessPending() {
-  // Recovery prologue: sources may have healed since the last drain.
-  TryResyncStaleViews();
-
-  Status first_error;
-  // Drain into a local list first: processing may enqueue nothing new (the
-  // warehouse never mutates sources), but keep the loop robust anyway.
-  std::vector<std::pair<size_t, UpdateEvent>> batch;
-  batch.swap(pending_);
-  for (const auto& [source_index, event] : batch) {
-    Status before = last_status_;
-    DispatchEvent(source_index, event);
-    if (first_error.ok() && !(last_status_ == before)) {
-      first_error = last_status_;
-    }
-  }
-  // Deferred-drain epilogue: see the header comment.
-  Status status = SweepDrain(batch, /*verify=*/true, nullptr);
-  if (!status.ok() && first_error.ok()) first_error = status;
-  if (!first_error.ok()) last_status_ = first_error;
-  LogCommit();  // the drain is quiescent here: one commit closes the group
-  StorageQuiescent();
-  return first_error;
-}
-
-Status Warehouse::HandleEventForView(ViewEntry& entry,
-                                     const UpdateEvent& event) {
-  SourceEntry& source = SourceOf(entry);
-
-  if (entry.engine != EngineKind::kAlgorithm1) {
-    // The discrimination network skips §5.1 screening: it must see every
-    // event to keep its memos aligned with the base. It re-reads values
-    // from the source store, so level 1 suffices and deferred drains stay
-    // convergent.
-    const Update update = event.ToUpdate(*source.store);
-    if (entry.gdn != nullptr) return entry.gdn->Apply(update, entry.storage());
-    // Shard-bound "external" entry: the coordinator's engine computes the
-    // membership deltas; only the delegate values track the base here.
-    return entry.storage()->SyncUpdate(update);
-  }
-
-  // 1. Keep the auxiliary structure current (§5.2: "the auxiliary structure
-  //    itself needs to be maintained"). For deletes this updates corridor
-  //    membership but keeps the detached subtree readable until the caller
-  //    prunes (PruneCaches) — Algorithm 1's delete case and the drain's
-  //    suspect search evaluate that subtree.
-  if (entry.cache != nullptr) {
-    GSV_RETURN_IF_ERROR(entry.cache->OnEvent(event, source.wrapper.get()));
-  }
-
-  // 2. Local screening (§5.1, reporting level >= 2).
-  if (event.level >= ReportingLevel::kWithValues) {
-    if (!EventRelevant(entry, event)) {
-      ++costs_.events_screened_out;
-      // Delegate values must still track the base (§3.2).
-      Status status = entry.storage()->SyncUpdate(event.ToUpdate());
-      if (entry.cache != nullptr) entry.cache->FlushIndexCounters(&costs_);
-      return status;
-    }
-  }
-
-  // 3. Maintain through Algorithm 1 over the remote accessor.
-  entry.accessor->set_current_event(&event);
-  Status status;
-  if (event.kind == UpdateKind::kModify &&
-      event.level == ReportingLevel::kOidsOnly) {
-    status = Level1ModifyRecheck(entry, event, entry.storage(),
-                                 entry.accessor.get());
-  } else {
-    status = entry.maintainer->Maintain(event.ToUpdate());
-  }
-  entry.accessor->set_current_event(nullptr);
-  if (entry.cache != nullptr) entry.cache->FlushIndexCounters(&costs_);
-  return status;
-}
-
 bool Warehouse::EventRelevant(const ViewEntry& entry,
                               const UpdateEvent& event) const {
   if (event.kind == UpdateKind::kModify) {
     const std::string label = event.parent_object.has_value()
                                   ? event.parent_object->label()
                                   : std::string();
-    return entry.modify_relevant && !entry.full_path.empty() &&
-           label == entry.full_path.back();
+    const Path& full_path = entry.corridor->full_path;
+    return entry.modify_relevant && !full_path.empty() &&
+           label == full_path.back();
   }
   if (event.child_object.has_value()) {
     return entry.relevant_labels.count(event.child_object->label()) > 0;
@@ -1030,16 +873,17 @@ Status Warehouse::Level1ModifyRecheck(ViewEntry& entry,
                        source.wrapper->FetchObject(event.parent));
   GSV_RETURN_IF_ERROR(storage->SyncUpdate(
       Update::Modify(event.parent, object.value(), object.value())));
-  if (!entry.def.predicate().has_value()) return Status::Ok();
-  if (entry.full_path.empty() ||
-      object.label() != entry.full_path.back()) {
+  const SimpleCorridor& corridor = *entry.corridor;
+  if (!corridor.pred.has_value()) return Status::Ok();
+  if (corridor.full_path.empty() ||
+      object.label() != corridor.full_path.back()) {
     return Status::Ok();  // cannot lie at the corridor's end
   }
-  for (const Oid& y : accessor->Ancestors(event.parent, entry.cond_path)) {
-    if (!accessor->VerifyPath(source.root, y, entry.sel_path)) {
+  for (const Oid& y : accessor->Ancestors(event.parent, corridor.cond_path)) {
+    if (!accessor->VerifyPath(source.root, y, corridor.sel_path)) {
       continue;
     }
-    if (!accessor->EvalAny(y, entry.cond_path, entry.def.predicate())) {
+    if (!accessor->EvalAny(y, corridor.cond_path, corridor.pred)) {
       GSV_RETURN_IF_ERROR(storage->VDelete(y));
     } else {
       GSV_ASSIGN_OR_RETURN(Object y_object, accessor->Fetch(y));

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -38,19 +39,8 @@ struct WarehouseDurability;
 // The data warehouse of §5 / Figure 6: materialized views live here; base
 // objects live at one or more autonomous sources that export update events
 // and answer queries through their wrappers. Only the warehouse knows the
-// view definitions.
-//
-// Event handling per view (views are bound to the source their entry
-// belongs to):
-//   1. the auxiliary cache (if configured, §5.2) absorbs the update;
-//   2. local screening (§5.1): with level >= 2 events the affected label is
-//      checked against the view's sel/cond labels — pruned further by path
-//      knowledge — and irrelevant events stop here (delegate values still
-//      sync);
-//   3. Algorithm 1 runs over a RemoteAccessor that prefers event info and
-//      cache content and falls back to metered source queries. Level-1
-//      modify events carry no values, so membership is re-derived by
-//      querying (the paper's "cannot do much other than sending queries").
+// view definitions. Views are bound to the source their entry belongs to;
+// events reach them through one drain body (see "Event processing" below).
 class Warehouse {
  public:
   enum class CacheMode {
@@ -124,7 +114,8 @@ class Warehouse {
   // them — and ops for unknown views fail.
   Status ApplyForeignOps(const std::vector<ForeignViewOp>& ops);
 
-  // The deferred-drain verification sweep (see ProcessPending), standalone.
+  // The deferred-drain verification sweep (see ProcessPendingBatch),
+  // standalone.
   // Which members one view re-verifies against current source state:
   // `full` = all of them, otherwise only `suspects` (DESIGN §4b).
   struct SweepScope {
@@ -171,87 +162,60 @@ class Warehouse {
   // Installs §5.2 path knowledge used for screening (applies to all views).
   void SetPathKnowledge(PathKnowledge knowledge);
 
-  // ---- Deferred (asynchronous) event processing ----
+  // ---- Event processing: inline delivery and deferred drains ----
   //
-  // Sources are autonomous (§5): in a real deployment events arrive and
-  // are applied some time after the source committed the update, while the
-  // source keeps changing. With deferral enabled, monitor events queue
-  // instead of being applied inline; ProcessPending() drains the queue in
-  // arrival order. Base accesses during the drain observe the source's
-  // *current* state — the §4.3 "right after the update" assumption is
-  // relaxed — and Algorithm 1's candidate verification plus condition
-  // rechecks make the outcome convergent: once the queue is drained, the
-  // view equals the view over the source's current state (asserted by the
-  // deferred-processing property tests).
+  // Every event reaches the views through one drain body. Without deferral
+  // each accepted event is drained on its own right after its update (the
+  // §4.3 setting). With deferral enabled, monitor events queue instead, and
+  // ProcessPendingBatch drains the queue in bulk; sources are autonomous
+  // (§5), so a deferred drain reads the source's *current* state, not the
+  // state right after each update. A drain:
+  //
+  //   1. coalesces the batch (UpdateBatch: insert+delete of the same edge
+  //      cancel, modifies of one object merge last-writer-wins);
+  //   2. lets each view's auxiliary cache (§5.2) absorb the batch, and
+  //      screens (§5.1) once per distinct label and view: with level >= 2
+  //      events the affected label is checked against the view's sel/cond
+  //      labels, pruned further by path knowledge; irrelevant events only
+  //      sync delegate values;
+  //   3. evaluates the relevant events per view — Algorithm 1 over a
+  //      RemoteAccessor that prefers event info and cache content and falls
+  //      back to metered query-backs (level-1 modifies carry no values, so
+  //      membership is re-derived by querying: the paper's "cannot do much
+  //      other than sending queries"), or the GDN — with every view operation
+  //      buffered (BufferedViewStorage). With threads > 1 the tasks (one per
+  //      view and, on tree bases, one per independent root subtree) fan out
+  //      across a worker pool. After the barrier the buffers replay into the
+  //      real views single-threaded in a fixed order, so views and counters
+  //      are deterministic. Replay is all-or-nothing per view: when any of
+  //      its tasks hit a down source none replays, and the view quarantines
+  //      with its events buffered;
+  //   4. runs the verification sweep (deferred drains only). Evaluated
+  //      against the current state, an event can disclaim responsibility
+  //      that another queued event also disclaims (a modify whose corridor
+  //      path a later delete already broke, under a delete that no longer
+  //      sees the object in its subtree). Such misses are always stale
+  //      *extras*, never missing members, so the sweep re-verifies the
+  //      drain's *suspects* — members below a deleted select edge, above a
+  //      deleted condition edge, or above a witness modified to a failing
+  //      value (DESIGN §4b) — and drops the underivable ones, at a cost
+  //      proportional to what the batch touched, not to |view|. The first
+  //      drain after anything that rebuilt a view or its corridor from
+  //      current state (recovery, a sharded resync, a failed maintenance
+  //      step) re-verifies every member once instead. Checks run through
+  //      the accessor: local with a full auxiliary cache, metered
+  //      query-backs otherwise. The corridor caches prune what the batch
+  //      detached only after that.
+  //
+  // Once the queue is drained each view equals its query over the
+  // source's current state. Sources must not change during a drain (the
+  // usual external synchronization).
   void set_deferred(bool deferred) { deferred_ = deferred; }
   bool deferred() const { return deferred_; }
   size_t pending_events() const { return pending_.size(); }
-  // Applies every queued event; returns the first error (processing
-  // continues past errors so the queue always drains).
-  //
-  // Because every event is evaluated against the source's *current* state,
-  // an event can disclaim responsibility that another queued event also
-  // disclaims (e.g. a modify whose corridor path a later delete already
-  // broke, under a delete that no longer sees the object in its subtree).
-  // Such misses are always stale *extras*, never missing members — a
-  // member that should appear is found by whichever queued insert restored
-  // its derivation, which re-evaluates the attached subtree. The drain
-  // therefore ends with a verification sweep of each view whose source
-  // contributed events: members whose derivation or condition no longer
-  // holds are dropped. Only the drain's *suspects* are re-verified — the
-  // members below a deleted select edge, above a deleted condition edge,
-  // or above a witness modified to a failing value (DESIGN §4b) — so the
-  // sweep costs O(suspects · (climb + condition eval)), proportional to
-  // what the batch touched, not to |view|. The first drain after anything
-  // that rebuilt a view or its corridor from current source state
-  // (recovery, a sharded resync, a failed maintenance step) re-verifies
-  // every member once instead. Checks run through the accessor — local
-  // when a full auxiliary cache is configured, metered query-backs
-  // otherwise.
-  Status ProcessPending();
 
-  // Squashes the pending queue before a drain: adjacent same-source pairs
-  // that cancel (insert(P,C) followed by delete(P,C), or the reverse) are
-  // dropped, and adjacent modifies of the same object merge into the later
-  // one (its snapshot is newer; the merged old value is the earlier
-  // event's). Net effects are preserved — the convergence property tests
-  // cover compacted drains. Returns the number of events eliminated.
-  size_t CompactPending();
-
-  // ---- Batched, multi-threaded drains ----
-  //
-  // ProcessPendingBatch drains the pending queue through the batch engine
-  // instead of event-at-a-time dispatch:
-  //
-  //   1. the batch is coalesced (UpdateBatch: insert+delete of the same
-  //      edge cancel, modifies of one object merge last-writer-wins);
-  //   2. per view, label/path screening (§5.1) is resolved once per
-  //      *distinct label* in the batch rather than once per event, and the
-  //      auxiliary cache absorbs the whole batch;
-  //   3. the relevant events are fanned out across a worker pool — one task
-  //      per independent view, and (on tree bases) one per independent
-  //      root subtree within a view, since subtrees of a tree cannot share
-  //      affected delegates. Workers evaluate Algorithm 1 against the
-  //      frozen final source state and buffer their view operations
-  //      (BufferedViewStorage); after the barrier the op logs replay into
-  //      the real views single-threaded, in a fixed order, and per-view
-  //      stats merge — so the resulting views and counters are
-  //      deterministic;
-  //   4. the deferred-drain verification sweep (see ProcessPending) runs
-  //      read-only in parallel per view — suspect search, then re-verify —
-  //      and its deletions apply after a second barrier; the corridor
-  //      caches prune the objects the batch detached only after that.
-  //
-  // Sources must not change during the call (the usual external
-  // synchronization for a deferred drain). The outcome is convergent
-  // exactly like ProcessPending: after the drain each view equals its
-  // query over the source's current state.
   struct BatchOptions {
-    size_t threads = 1;   // worker pool size; <= 1 evaluates inline
-    bool coalesce = true; // cancel/merge redundant events first
-    // Fan out independent root subtrees within a view (sound on tree
-    // bases; disabled automatically for a view whose root is a member).
-    bool split_subtrees = true;
+    size_t threads = 1;  // worker pool size; <= 1 evaluates inline
     // A sharded coordinator defers these two: the sweep must wait for the
     // foreign ops of every shard to land, and the commit must not certify
     // a batch whose cross-shard ops are still in flight. With run_sweep
@@ -259,6 +223,8 @@ class Warehouse {
     bool run_sweep = true;
     bool log_commit = true;
   };
+  // Drains the pending queue; returns the first error (processing
+  // continues past errors so the queue always drains).
   Status ProcessPendingBatch(const BatchOptions& options);
   Status ProcessPendingBatch() { return ProcessPendingBatch(BatchOptions{}); }
 
@@ -302,7 +268,7 @@ class Warehouse {
   // EnableDurability attaches a WAL + checkpoint directory to this
   // warehouse. Every accepted update event and every applied view delta is
   // logged; a commit record (carrying the per-source sequence watermarks)
-  // closes each group — one per inline dispatch, one per drain — and
+  // closes each group — one per drain, an inline event's included — and
   // certifies that the warehouse was quiescent when it was written.
   //
   // If `dir` already holds durable state, EnableDurability *recovers* it:
@@ -409,9 +375,9 @@ class Warehouse {
     ViewDefinition def;
     std::string definition_text;  // original text, for checkpoint manifests
     CacheMode cache_mode = CacheMode::kNone;
-    Path sel_path;
-    Path cond_path;
-    Path full_path;
+    // The constant corridor (simple views only; null for GDN views),
+    // shared with every maintainer a drain task builds.
+    std::shared_ptr<const SimpleCorridor> corridor;
     std::set<std::string> relevant_labels;  // feasible corridor labels
     bool modify_relevant = false;           // can a modify affect membership?
     std::unique_ptr<MaterializedView> view;
@@ -461,18 +427,32 @@ class Warehouse {
 
   void OnEvent(size_t source_index, const UpdateEvent& event);
   // Sequence accounting for one delivered event: drops duplicates, detects
-  // gaps (quarantining the source's views), then queues or dispatches.
+  // gaps (quarantining the source's views), then queues or drains it.
   void Deliver(size_t source_index, const UpdateEvent& event);
-  void DispatchEvent(size_t source_index, const UpdateEvent& event);
+  // (source index, event) of a batch, in arrival order.
+  using EventRef = std::pair<size_t, const UpdateEvent*>;
+  // The one drain body (see ProcessPendingBatch) over `events`. An inline
+  // drain is one event right after its update: it resyncs only that
+  // source's stale views, skips the verification sweep (§4.3 holds right
+  // after the update) and counts events_local_only.
+  Status Drain(std::span<const EventRef> events, const BatchOptions& options,
+               bool inline_event);
   // Quarantine entry points.
   void Quarantine(ViewEntry& entry, const Status& cause);
   void BufferStaleEvent(ViewEntry& entry, const UpdateEvent& event);
   void QuarantineSourceViews(size_t source_index, const Status& cause);
   // One resync attempt; leaves the view stale when the source still fails.
   Status TryResyncView(ViewEntry& entry, bool force);
-  // Opportunistic resync of every stale view (drain prologue).
-  void TryResyncStaleViews();
-  Status HandleEventForView(ViewEntry& entry, const UpdateEvent& event);
+  // One event's step for one view over `storage`, reading through
+  // `accessor` (`maintainer`, null for GDN views, is bound to the same
+  // pair): a screened-out event only syncs delegate values (§3.2); a
+  // relevant one runs the level-1 recheck, Algorithm 1, or the GDN.
+  // Returns the first error, a failed query-back included. Serves the
+  // drain workers and the resync replay.
+  Status MaintainEvent(ViewEntry& entry, const UpdateEvent& event,
+                       bool relevant, ViewStorage* storage,
+                       RemoteAccessor* accessor,
+                       Algorithm1Maintainer* maintainer);
   // The §5.1 local screening predicate (level >= 2 events only).
   bool EventRelevant(const ViewEntry& entry, const UpdateEvent& event) const;
   // Appends to `suspects` the members `events` may have left underivable
@@ -496,23 +476,22 @@ class Warehouse {
   // A drain's sweep: one job per fresh Algorithm 1 view whose source sent
   // `events` (only recording the suspects when `verify` is off), then
   // PruneCaches().
-  Status SweepDrain(const std::vector<std::pair<size_t, UpdateEvent>>& events,
-                    bool verify, ThreadPool* pool);
+  Status SweepDrain(std::span<const EventRef> events, bool verify,
+                    ThreadPool* pool);
   // Full single-view sweep (resync epilogue); a no-op for general views.
   Status VerifyMembers(ViewEntry& entry);
   // Removes the objects each corridor cache detached since the last call;
   // runs after the sweep, whose suspect search reads detached subtrees.
   void PruneCaches();
-  // Level-1 modify handling over an arbitrary storage/accessor pair (the
-  // batch engine passes a BufferedViewStorage and a per-task accessor).
+  // Level-1 modify handling over a storage/accessor pair (MaintainEvent's).
   Status Level1ModifyRecheck(ViewEntry& entry, const UpdateEvent& event,
                              ViewStorage* storage, BaseAccessor* accessor);
   void RecomputeRelevantLabels(ViewEntry& entry);
   // Declares a storage quiescent point: no `const Object*` from the
   // delegate store or a corridor cache is live past this call, so a paged
   // engine may evict back down to its buffer-pool budget. Runs at the end
-  // of every drain / inline dispatch / resync / checkpoint, and flushes the
-  // engines' buffer-pool counter deltas onto the cost sheet while there.
+  // of every drain (inline ones included) / resync / checkpoint, and
+  // flushes the engines' buffer-pool counter deltas onto the cost sheet.
   void StorageQuiescent();
   // Lazily builds/resizes the worker pool for `threads` workers.
   ThreadPool* Pool(size_t threads);

@@ -225,15 +225,13 @@ struct DeterminismConfig {
   ReportingLevel level = ReportingLevel::kWithValues;
   Warehouse::CacheMode cache = Warehouse::CacheMode::kNone;
   size_t threads = 4;
-  bool coalesce = true;
-  bool split_subtrees = true;
 };
 
 // Drives two warehouses over identical sources with the identical update
-// stream: one inline (per-event Maintain, the §4.3 baseline), one deferred
-// through the batch engine. After every drain the views must be
-// byte-identical — same members, same delegate labels and values, same view
-// object value.
+// stream: one inline (a one-event drain right after each update, the §4.3
+// baseline), one deferred through the batch engine. After every drain the
+// views must be byte-identical — same members, same delegate labels and
+// values, same view object value.
 void RunDeterminismCheck(const DeterminismConfig& config) {
   SCOPED_TRACE(config.name);
   TreeGenOptions tree_options;
@@ -267,8 +265,6 @@ void RunDeterminismCheck(const DeterminismConfig& config) {
 
   Warehouse::BatchOptions options;
   options.threads = config.threads;
-  options.coalesce = config.coalesce;
-  options.split_subtrees = config.split_subtrees;
 
   UpdateGenOptions gen_options;
   gen_options.seed = 211;
@@ -320,32 +316,34 @@ void RunDeterminismCheck(const DeterminismConfig& config) {
 
 TEST(BatchDeterminismTest, Level2NoCache) {
   RunDeterminismCheck({"level2_nocache", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kNone, 4, true, true});
+                       Warehouse::CacheMode::kNone, 4});
 }
 
 TEST(BatchDeterminismTest, Level2FullCache) {
   RunDeterminismCheck({"level2_full", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kFull, 4, true, true});
+                       Warehouse::CacheMode::kFull, 4});
 }
 
 TEST(BatchDeterminismTest, Level3FullCache) {
   RunDeterminismCheck({"level3_full", ReportingLevel::kWithRootPath,
-                       Warehouse::CacheMode::kFull, 4, true, true});
+                       Warehouse::CacheMode::kFull, 4});
 }
 
 TEST(BatchDeterminismTest, Level1NoCache) {
   RunDeterminismCheck({"level1_nocache", ReportingLevel::kOidsOnly,
-                       Warehouse::CacheMode::kNone, 4, true, true});
+                       Warehouse::CacheMode::kNone, 4});
 }
 
+// One thread evaluates one task per view: no subtree split. (Coalescing is
+// no longer optional; the id predates that.)
 TEST(BatchDeterminismTest, SingleThreadNoCoalesceNoSplit) {
   RunDeterminismCheck({"plain", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kNone, 1, false, false});
+                       Warehouse::CacheMode::kNone, 1});
 }
 
 TEST(BatchDeterminismTest, EightThreads) {
   RunDeterminismCheck({"threads8", ReportingLevel::kWithValues,
-                       Warehouse::CacheMode::kLabelsOnly, 8, true, true});
+                       Warehouse::CacheMode::kLabelsOnly, 8});
 }
 
 // Thread counts must not change the outcome: run the same stream at 1, 2

@@ -469,9 +469,8 @@ TEST(IntegrationTest, FullStackSoak) {
     }
     ASSERT_TRUE(relational.last_translation_status().ok());
 
-    // Compacted deferred drain, then both views must equal truth.
-    warehouse.CompactPending();
-    ASSERT_TRUE(warehouse.ProcessPending().ok())
+    // Coalesced deferred drain, then both views must equal truth.
+    ASSERT_TRUE(warehouse.ProcessPendingBatch().ok())
         << warehouse.last_status().ToString();
     auto tree_truth =
         EvaluateView(tree_source, *ViewDefinition::Parse(tree_view_def));

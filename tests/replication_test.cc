@@ -405,7 +405,7 @@ struct PrimaryRig {
   // Applies `n` source updates and drains them into one commit group.
   void Advance(size_t n) {
     for (size_t i = 0; i < n; ++i) ASSERT_TRUE(gen->Step().ok());
-    ASSERT_TRUE(warehouse->ProcessPending().ok());
+    ASSERT_TRUE(warehouse->ProcessPendingBatch().ok());
   }
 
   uint64_t committed_lsn() const {
@@ -729,7 +729,7 @@ TEST(ReplicaTest, PromotionFencesOldPrimaryAndResumesWrites) {
   EXPECT_EQ(StoreToString(store_b), StoreToString(rig.store));
 
   for (size_t i = 0; i < 20; ++i) ASSERT_TRUE(rig.gen->Step().ok());
-  ASSERT_TRUE(primary_b.ProcessPending().ok());
+  ASSERT_TRUE(primary_b.ProcessPendingBatch().ok());
   EXPECT_GT(primary_b.wal()->next_lsn(), replica.applied_lsn() + 1);
 
   // An old-epoch ghost segment is refused by any follower of the new

@@ -832,7 +832,7 @@ TEST(EngineTwinTest, ReplicaCatchesUpOnPagedEngine) {
   UpdateGenerator gen(&source, root, gen_options);
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 25; ++i) ASSERT_TRUE(gen.Step().ok());
-    ASSERT_TRUE(warehouse.ProcessPending().ok());
+    ASSERT_TRUE(warehouse.ProcessPendingBatch().ok());
     Status caught = replica.CatchUp();
     ASSERT_TRUE(caught.ok()) << caught.ToString();
     EXPECT_EQ(StoreToString(replica.store()), StoreToString(store))

@@ -3,7 +3,7 @@
 // the §5.2 corridor cache re-derives depths incrementally on delete. The
 // targeted tests build each disclaimed-responsibility case by hand; the
 // randomized twin suite demands that after every drain each warehouse view
-// (batch drain, per-event drain, K=4 coordinator) is byte-identical to the
+// (batch drain, inline delivery, K=4 coordinator) is byte-identical to the
 // §4.4 recompute oracle; the corridor test checks the incremental depths
 // against a SaveTo -> LoadFrom recompute after every event. This binary
 // carries the `asan-tsan-paged` ctest label: ci.sh re-runs it under ASan,
@@ -85,12 +85,14 @@ const char* CacheName(CacheMode cache) {
   return "?";
 }
 
-// A deferred warehouse over one source with the delegate store it owns.
+// A warehouse over one source with the delegate store it owns; deferred
+// unless `deferred` is off (inline delivery).
 struct Rig {
-  Rig(ObjectStore* source, const Oid& root, ReportingLevel level)
+  Rig(ObjectStore* source, const Oid& root, ReportingLevel level,
+      bool deferred = true)
       : store(DelegateStoreOptions()), warehouse(&store, WarehouseOptions()) {
     status = warehouse.ConnectSource(source, root, level);
-    warehouse.set_deferred(true);
+    warehouse.set_deferred(deferred);
   }
   ObjectStore store;
   Warehouse warehouse;
@@ -149,15 +151,11 @@ void BuildWorld(ObjectStore* source) {
   ASSERT_TRUE(source->PutSet(Node("R"), "root", as).ok());
 }
 
-enum class DrainPath { kBatch, kPerEvent };
-
 struct TargetedConfig {
   ReportingLevel level;
   CacheMode cache;
-  DrainPath drain;
   std::string Name() const {
-    return std::string(LevelName(level)) + "_" + CacheName(cache) +
-           (drain == DrainPath::kBatch ? "_batch" : "_per_event");
+    return std::string(LevelName(level)) + "_" + CacheName(cache);
   }
 };
 
@@ -168,9 +166,7 @@ std::vector<TargetedConfig> AllTargetedConfigs() {
         ReportingLevel::kWithRootPath}) {
     for (CacheMode cache :
          {CacheMode::kNone, CacheMode::kLabelsOnly, CacheMode::kFull}) {
-      for (DrainPath drain : {DrainPath::kBatch, DrainPath::kPerEvent}) {
-        configs.push_back({level, cache, drain});
-      }
+      configs.push_back({level, cache});
     }
   }
   return configs;
@@ -193,9 +189,7 @@ void RunTargeted(const std::function<void(ObjectStore*)>& mutate,
     ASSERT_TRUE(rig.warehouse.DefineView(kViewDef, config.cache).ok());
 
     ASSERT_NO_FATAL_FAILURE(mutate(&source));
-    Status drained = config.drain == DrainPath::kBatch
-                         ? rig.warehouse.ProcessPendingBatch()
-                         : rig.warehouse.ProcessPending();
+    Status drained = rig.warehouse.ProcessPendingBatch();
     ASSERT_TRUE(drained.ok()) << drained.ToString();
     EXPECT_EQ(ViewContentLines(*rig.warehouse.view("SV")),
               Recomputed(source, kViewDef));
@@ -355,34 +349,29 @@ class SweepCostTest : public ::testing::Test {
 
 TEST_F(SweepCostTest, SingleModifyDrainReverifiesAncestorsNotTheView) {
   for (CacheMode cache : {CacheMode::kNone, CacheMode::kFull}) {
-    for (DrainPath drain : {DrainPath::kBatch, DrainPath::kPerEvent}) {
-      SCOPED_TRACE(std::string(CacheName(cache)) +
-                   (drain == DrainPath::kBatch ? " batch" : " per-event"));
-      ASSERT_TRUE(source_.Modify(leaf_, Value::Int(10)).ok());
-      Rig rig(&source_, root_, ReportingLevel::kWithValues);
-      ASSERT_TRUE(rig.warehouse.DefineView(definition_, cache).ok());
-      const size_t members = rig.warehouse.view("BIG")->size();
-      ASSERT_GT(members, 1000u);
+    SCOPED_TRACE(CacheName(cache));
+    ASSERT_TRUE(source_.Modify(leaf_, Value::Int(10)).ok());
+    Rig rig(&source_, root_, ReportingLevel::kWithValues);
+    ASSERT_TRUE(rig.warehouse.DefineView(definition_, cache).ok());
+    const size_t members = rig.warehouse.view("BIG")->size();
+    ASSERT_GT(members, 1000u);
 
-      ASSERT_TRUE(source_.Modify(leaf_, Value::Int(95)).ok());
-      Status drained = drain == DrainPath::kBatch
-                           ? rig.warehouse.ProcessPendingBatch()
-                           : rig.warehouse.ProcessPending();
-      ASSERT_TRUE(drained.ok()) << drained.ToString();
-      const WarehouseCosts& costs = rig.warehouse.costs();
-      // ancestor(leaf, cond_path = "age") is the leaf's one parent.
-      EXPECT_EQ(costs.sweep_candidates.load(), 1);
-      EXPECT_EQ(costs.sweep_full_runs.load(), 0);
-      EXPECT_EQ(ViewContentLines(*rig.warehouse.view("BIG")),
-                Recomputed(source_, definition_));
-      const std::string text = rig.warehouse.ExplainView("BIG").ToString();
-      EXPECT_NE(text.find("verification sweeps: 1 members re-verified, "
-                          "0 full runs"),
-                std::string::npos)
-          << text;
-      EXPECT_NE(costs.ToString().find("sweep_candidates="), std::string::npos)
-          << costs.ToString();
-    }
+    ASSERT_TRUE(source_.Modify(leaf_, Value::Int(95)).ok());
+    Status drained = rig.warehouse.ProcessPendingBatch();
+    ASSERT_TRUE(drained.ok()) << drained.ToString();
+    const WarehouseCosts& costs = rig.warehouse.costs();
+    // ancestor(leaf, cond_path = "age") is the leaf's one parent.
+    EXPECT_EQ(costs.sweep_candidates.load(), 1);
+    EXPECT_EQ(costs.sweep_full_runs.load(), 0);
+    EXPECT_EQ(ViewContentLines(*rig.warehouse.view("BIG")),
+              Recomputed(source_, definition_));
+    const std::string text = rig.warehouse.ExplainView("BIG").ToString();
+    EXPECT_NE(text.find("verification sweeps: 1 members re-verified, "
+                        "0 full runs"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(costs.ToString().find("sweep_candidates="), std::string::npos)
+        << costs.ToString();
   }
 }
 
@@ -482,10 +471,11 @@ std::vector<TwinParam> AllTwinParams() {
 class ScopedSweepTwinTest : public ::testing::TestWithParam<TwinParam> {};
 
 // One source feeds, in lockstep: a batch-drained warehouse (K=1, four
-// worker threads on odd seeds) and a per-event-drained one, or the K=4
-// coordinator; plus one §4.4 recompute oracle per view. Batch sizes are
-// drawn from 1..64. After every drain every view is byte-identical to its
-// oracle, and no drain ever needed a full sweep.
+// worker threads on odd seeds) and an inline one (every event drained on
+// its own right after its update, no sweep), or the K=4 coordinator; plus
+// one §4.4 recompute oracle per view. Batch sizes are drawn from 1..64.
+// After every drain every view is byte-identical to its oracle, and no
+// drain ever needed a full sweep.
 TEST_P(ScopedSweepTwinTest, EveryDrainMatchesRecompute) {
   const TwinParam& p = GetParam();
   const std::string prefix = "swt" + std::to_string(p.seed) + "_";
@@ -527,19 +517,21 @@ TEST_P(ScopedSweepTwinTest, EveryDrainMatchesRecompute) {
 
   std::vector<std::string> names = {"W1", "W2", "W3"};
   std::unique_ptr<Rig> batch;
-  std::unique_ptr<Rig> per_event;
+  std::unique_ptr<Rig> inline_rig;
   std::unique_ptr<ShardedWarehouse> sharded;
   if (p.shards == 1) {
     batch = std::make_unique<Rig>(&source, root, p.level);
-    per_event = std::make_unique<Rig>(&source, root, p.level);
+    inline_rig = std::make_unique<Rig>(&source, root, p.level,
+                                       /*deferred=*/false);
     ASSERT_TRUE(batch->status.ok());
-    ASSERT_TRUE(per_event->status.ok());
+    ASSERT_TRUE(inline_rig->status.ok());
     for (size_t v = 0; v < definitions.size(); ++v) {
       // The parameter's cache mode on the first and last view; the middle
       // one stays cache-less, so cached and uncached views share drains.
       CacheMode cache = v == 1 ? CacheMode::kNone : p.cache;
       ASSERT_TRUE(batch->warehouse.DefineView(definitions[v], cache).ok());
-      ASSERT_TRUE(per_event->warehouse.DefineView(definitions[v], cache).ok());
+      ASSERT_TRUE(
+          inline_rig->warehouse.DefineView(definitions[v], cache).ok());
     }
   } else {
     sharded = std::make_unique<ShardedWarehouse>(p.shards, ShardedOptions());
@@ -578,8 +570,8 @@ TEST_P(ScopedSweepTwinTest, EveryDrainMatchesRecompute) {
     if (p.shards == 1) {
       ASSERT_TRUE(batch->warehouse.ProcessPendingBatch(batch_options).ok())
           << batch->warehouse.last_status().ToString();
-      ASSERT_TRUE(per_event->warehouse.ProcessPending().ok())
-          << per_event->warehouse.last_status().ToString();
+      ASSERT_TRUE(inline_rig->warehouse.last_status().ok())
+          << inline_rig->warehouse.last_status().ToString();
     } else {
       ASSERT_TRUE(sharded->ProcessPendingBatch(4).ok());
     }
@@ -590,9 +582,9 @@ TEST_P(ScopedSweepTwinTest, EveryDrainMatchesRecompute) {
         ASSERT_EQ(ViewContentLines(*batch->warehouse.view(names[v])),
                   expected)
             << names[v] << " (batch drain)";
-        ASSERT_EQ(ViewContentLines(*per_event->warehouse.view(names[v])),
+        ASSERT_EQ(ViewContentLines(*inline_rig->warehouse.view(names[v])),
                   expected)
-            << names[v] << " (per-event drain)";
+            << names[v] << " (inline delivery)";
       } else {
         ASSERT_EQ(sharded->ViewContents(names[v]), expected) << names[v];
       }
@@ -600,7 +592,6 @@ TEST_P(ScopedSweepTwinTest, EveryDrainMatchesRecompute) {
   }
   if (p.shards == 1) {
     EXPECT_EQ(batch->warehouse.costs().sweep_full_runs.load(), 0);
-    EXPECT_EQ(per_event->warehouse.costs().sweep_full_runs.load(), 0);
     EXPECT_GT(batch->warehouse.costs().sweep_candidates.load(), 0);
   } else {
     EXPECT_EQ(sharded->MergedCosts().sweep_full_runs.load(), 0);

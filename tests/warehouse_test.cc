@@ -601,7 +601,7 @@ TEST_F(WarehouseTest, DeferredProcessingConverges) {
   EXPECT_EQ(warehouse_->view("YP")->BaseMembers(), OidSet({P1()}))
       << "nothing applied yet";
 
-  ASSERT_TRUE(warehouse_->ProcessPending().ok());
+  ASSERT_TRUE(warehouse_->ProcessPendingBatch().ok());
   EXPECT_EQ(warehouse_->pending_events(), 0u);
   EXPECT_EQ(warehouse_->view("YP")->BaseMembers(), OidSet());
   ExpectViewCorrect();
@@ -609,13 +609,13 @@ TEST_F(WarehouseTest, DeferredProcessingConverges) {
   // A second batch that reverses everything.
   ASSERT_TRUE(source_.Modify(A1(), Value::Int(45)).ok());
   ASSERT_TRUE(source_.Modify(Oid("A2"), Value::Int(30)).ok());
-  ASSERT_TRUE(warehouse_->ProcessPending().ok());
+  ASSERT_TRUE(warehouse_->ProcessPendingBatch().ok());
   EXPECT_EQ(warehouse_->view("YP")->BaseMembers(), OidSet({P1(), P2()}));
   ExpectViewCorrect();
 }
 
-// Queue compaction: cancelling pairs vanish, modify chains merge, and the
-// compacted drain lands on the same view.
+// Batch coalescing: cancelling pairs vanish, modify chains merge, and the
+// coalesced drain lands on the same view.
 TEST_F(WarehouseTest, CompactPendingPreservesNetEffect) {
   Connect(ReportingLevel::kWithValues);
   warehouse_->set_deferred(true);
@@ -630,17 +630,16 @@ TEST_F(WarehouseTest, CompactPendingPreservesNetEffect) {
   ASSERT_TRUE(source_.Insert(Root(), P4()).ok());      // ...cancelled
   EXPECT_EQ(warehouse_->pending_events(), 7u);
 
-  size_t removed = warehouse_->CompactPending();
-  EXPECT_EQ(removed, 6u);
-  EXPECT_EQ(warehouse_->pending_events(), 1u)
+  warehouse_->costs().Reset();
+  ASSERT_TRUE(warehouse_->ProcessPendingBatch().ok());
+  EXPECT_EQ(warehouse_->costs().events_coalesced.load(), 6);
+  EXPECT_EQ(warehouse_->costs().events_received.load(), 1)
       << "only the merged modify chain survives";
-
-  ASSERT_TRUE(warehouse_->ProcessPending().ok());
   EXPECT_EQ(warehouse_->view("YP")->BaseMembers(), OidSet({P1()}));
   ExpectViewCorrect();
 }
 
-// Compacted deferred drains converge on random streams.
+// Coalesced deferred drains converge on random streams.
 TEST_F(WarehouseTest, CompactedDeferredStreamsConverge) {
   ObjectStore source;
   TreeGenOptions tree_options;
@@ -667,11 +666,9 @@ TEST_F(WarehouseTest, CompactedDeferredStreamsConverge) {
   gen_options.p_insert = 0.2;
   gen_options.p_delete = 0.2;
   UpdateGenerator generator(&source, tree->root, gen_options);
-  size_t total_removed = 0;
   for (int batch = 0; batch < 10; ++batch) {
     ASSERT_TRUE(generator.Run(30).ok());
-    total_removed += warehouse.CompactPending();
-    ASSERT_TRUE(warehouse.ProcessPending().ok());
+    ASSERT_TRUE(warehouse.ProcessPendingBatch().ok());
     auto def = ViewDefinition::Parse(
         TreeViewDefinition("TV", tree->root, 2, 3, 50));
     auto truth = EvaluateView(source, *def);
@@ -679,7 +676,8 @@ TEST_F(WarehouseTest, CompactedDeferredStreamsConverge) {
     ASSERT_EQ(warehouse.view("TV")->BaseMembers(), *truth)
         << "batch " << batch;
   }
-  EXPECT_GT(total_removed, 0u) << "the modify-heavy stream must compact";
+  EXPECT_GT(warehouse.costs().events_coalesced.load(), 0)
+      << "the modify-heavy stream must coalesce";
   ConsistencyReport report =
       CheckViewConsistency(*warehouse.view("TV"), source);
   EXPECT_TRUE(report.consistent) << report.ToString();
@@ -737,7 +735,7 @@ TEST_F(WarehouseTest, DeferredRandomStreamsConverge) {
     for (int batch = 0; batch < 12; ++batch) {
       size_t burst = 1 + batch_rng.Uniform(100);
       ASSERT_TRUE(generator.Run(burst).ok());
-      ASSERT_TRUE(warehouse.ProcessPending().ok())
+      ASSERT_TRUE(warehouse.ProcessPendingBatch().ok())
           << warehouse.last_status().ToString();
       auto truth = EvaluateView(source, *ViewDefinition::Parse(TreeViewDefinition(
                                             "TV", tree->root, 2, 3, 50)));
@@ -897,6 +895,101 @@ TEST_F(WarehouseTest, LostDeliveryQuarantinesThenResyncsAtEveryLevel) {
     ConsistencyReport report = CheckViewConsistency(*view, fresh_source);
     EXPECT_TRUE(report.consistent) << report.ToString();
   }
+}
+
+// Inline delivery is a one-event drain, so its view operations are
+// buffered and replay all-or-nothing. One insert attaches a subtree with
+// three members; the source fails on the event's last query-back, after
+// Algorithm 1 already produced V_inserts for the first members. The view
+// must keep exactly its pre-event contents while quarantined, then resync
+// to the recompute.
+TEST(InlineDeliveryTest, FailedQueryBackLeavesThePreEventView) {
+  constexpr char kDefinition[] =
+      "define mview IV as: SELECT idR.a.b X WHERE X.v <= 50";
+  auto build = [](ObjectStore* source) {
+    ASSERT_TRUE(source->PutAtomic(Oid("idV0"), "v", Value::Int(10)).ok());
+    ASSERT_TRUE(source->PutSet(Oid("idB0"), "b", {Oid("idV0")}).ok());
+    ASSERT_TRUE(source->PutSet(Oid("idA0"), "a", {Oid("idB0")}).ok());
+    ASSERT_TRUE(source->PutSet(Oid("idR"), "root", {Oid("idA0")}).ok());
+    // The detached subtree the event attaches: three members.
+    std::vector<Oid> bs;
+    for (int i = 1; i <= 3; ++i) {
+      const std::string n = std::to_string(i);
+      ASSERT_TRUE(
+          source->PutAtomic(Oid("idV" + n), "v", Value::Int(10)).ok());
+      ASSERT_TRUE(source->PutSet(Oid("idB" + n), "b", {Oid("idV" + n)}).ok());
+      bs.push_back(Oid("idB" + n));
+    }
+    ASSERT_TRUE(source->PutSet(Oid("idA1"), "a", bs).ok());
+  };
+  struct Rig {
+    ObjectStore source;
+    ObjectStore store;
+    Warehouse warehouse{&store};
+  };
+  auto make_rig = [&](Rig* rig) {
+    ASSERT_NO_FATAL_FAILURE(build(&rig->source));
+    ASSERT_TRUE(rig->warehouse
+                    .ConnectSource(&rig->source, Oid("idR"),
+                                   ReportingLevel::kWithValues)
+                    .ok());
+    ASSERT_TRUE(rig->warehouse.DefineView(kDefinition).ok());
+  };
+
+  // A fault-free twin: how many query-backs the event makes, and that it
+  // adds the three members.
+  Rig twin;
+  ASSERT_NO_FATAL_FAILURE(make_rig(&twin));
+  const int64_t queries_before = twin.warehouse.costs().source_queries;
+  ASSERT_TRUE(twin.source.Insert(Oid("idR"), Oid("idA1")).ok());
+  const int64_t queries =
+      twin.warehouse.costs().source_queries - queries_before;
+  ASSERT_GE(queries, 3);
+  ASSERT_EQ(twin.warehouse.view("IV")->size(), 4u);
+
+  // A seeded fault schedule that lets the first queries - 1 attempts
+  // through and then fails long enough to exhaust the retries.
+  auto profile = [](uint64_t seed) {
+    FaultProfile p;
+    p.seed = seed;
+    p.wrapper_fail_rate = 0.1;
+    p.wrapper_fail_burst = 1000;
+    return p;
+  };
+  uint64_t seed = 0;
+  for (uint64_t candidate = 1; candidate < 100000 && seed == 0; ++candidate) {
+    FaultInjector probe(profile(candidate));
+    int64_t ok = 0;
+    while (ok < queries - 1 && probe.OnWrapperCall("probe").ok()) ++ok;
+    if (ok == queries - 1 && !probe.OnWrapperCall("probe").ok()) {
+      seed = candidate;
+    }
+  }
+  ASSERT_NE(seed, 0u);
+
+  Rig rig;
+  ASSERT_NO_FATAL_FAILURE(make_rig(&rig));
+  FaultInjector injector(profile(seed));
+  ASSERT_TRUE(rig.warehouse.SetFaultInjector("source1", &injector).ok());
+  const auto before = ViewContentLines(*rig.warehouse.view("IV"));
+  ASSERT_EQ(before.size(), 1u);
+
+  ASSERT_TRUE(rig.source.Insert(Oid("idR"), Oid("idA1")).ok());
+  EXPECT_EQ(rig.warehouse.view_health("IV"), Warehouse::ViewHealth::kStale);
+  EXPECT_EQ(rig.warehouse.buffered_stale_events(), 1u);
+  EXPECT_EQ(ViewContentLines(*rig.warehouse.view("IV")), before)
+      << "a half-applied event leaked into the quarantined view";
+
+  injector.Heal();
+  ASSERT_TRUE(rig.warehouse.ResyncStaleViews().ok());
+  EXPECT_EQ(rig.warehouse.view_health("IV"), Warehouse::ViewHealth::kFresh);
+  auto def = ViewDefinition::Parse(kDefinition);
+  ASSERT_TRUE(def.ok());
+  ObjectStore oracle_store;
+  MaterializedView oracle(&oracle_store, def.value());
+  ASSERT_TRUE(oracle.Initialize(rig.source).ok());
+  EXPECT_EQ(ViewContentLines(*rig.warehouse.view("IV")),
+            ViewContentLines(oracle));
 }
 
 TEST_F(WarehouseTest, RecoveredSourceResyncsOnNextEventWithoutExplicitCall) {
