@@ -53,8 +53,10 @@ int main() {
     // Average number of derivation paths of the leaves.
     double total_paths = 0;
     for (const Oid& leaf : generated->layers[2]) {
-      total_paths +=
-          static_cast<double>(PathsFromTo(store, generated->root, leaf, 64).size());
+      total_paths += static_cast<double>(
+          PathsFromTo(store, generated->root, leaf, /*max_paths=*/64,
+                      /*max_depth=*/256)
+              .size());
     }
     double avg_paths =
         total_paths / static_cast<double>(generated->layers[2].size());

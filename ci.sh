@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (full build + test suite), then a quick
 # perf smoke of the label-index speedup experiment (catches silent index
-# regressions that correctness tests cannot see), then an
+# regressions that correctness tests cannot see), the other perf floors,
+# the E8/E9 correctness smokes and the E3/E4/E7 golden paper tables, then an
 # Address+UB-Sanitizer build of the robustness and fault-injection tests
 # (the quarantine/resync error paths are where lifetime bugs hide — and the
 # durability suite's randomized kill-mid-batch crash test and the
@@ -54,6 +55,14 @@ echo "=== correctness-smoke: §6 path-expression + DAG views on the GDN vs recom
 # Each exits 1 when any row's view disagrees with the §4.4 recomputation.
 ./build/bench/exp8_path_expressions
 ./build/bench/exp9_dag
+
+echo
+echo "=== paper-tables: E3, E4, E7 against their golden tables ==="
+# These tables are deterministic (seeded streams, counts only), so any
+# shift in a query, object or hit count shows up here as a diff.
+diff -u bench/golden/exp3.txt <(./build/bench/exp3_reporting_levels)
+diff -u bench/golden/exp4.txt <(./build/bench/exp4_aux_caching)
+diff -u bench/golden/exp7.txt <(./build/bench/exp7_path_knowledge)
 
 echo
 echo "=== paged: recovery + replication + engine suites on the PagedEngine ==="

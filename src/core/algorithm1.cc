@@ -67,6 +67,14 @@ bool Algorithm1Maintainer::VerifySelected(const Oid& y) {
   return accessor_->VerifyPath(root_, y, corridor_->sel_path);
 }
 
+// The label test comes first: a position off N2's label costs no probe.
+bool Algorithm1Maintainer::RootPathMatches(const Oid& n1, size_t k,
+                                           const std::string& n2_label) {
+  const Path& full = corridor_->full_path;
+  return full.label(k) == n2_label &&
+         accessor_->MatchesRootPath(root_, n1, full.Prefix(k));
+}
+
 // When insert(N1,N2) occurs:
 //   if sel_path.cond_path = path(ROOT,N1).label(N2).p
 //   then S = eval(N2, p, cond);
@@ -75,11 +83,8 @@ Status Algorithm1Maintainer::OnInsert(const Update& update) {
   const SimpleCorridor& c = *corridor_;
   GSV_ASSIGN_OR_RETURN(Object n2, accessor_->Fetch(update.child));
   bool matched = false;
-  for (const Path& rp : accessor_->PathsFromRoot(root_, update.parent)) {
-    const size_t k = rp.size();
-    if (k + 1 > c.full_path.size()) continue;
-    if (!c.full_path.StartsWith(rp)) continue;
-    if (c.full_path.label(k) != n2.label()) continue;
+  for (size_t k = 0; k < c.full_path.size(); ++k) {
+    if (!RootPathMatches(update.parent, k, n2.label())) continue;
     matched = true;
     const Path p = c.full_path.Suffix(k + 1);
     for (const Oid& x : accessor_->Eval(update.child, p, c.pred)) {
@@ -117,11 +122,8 @@ Status Algorithm1Maintainer::OnDelete(const Update& update) {
   GSV_ASSIGN_OR_RETURN(Object n2, accessor_->Fetch(update.child));
   bool matched = false;
   // path(ROOT,N1) is unaffected by removing the N1->N2 edge below N1.
-  for (const Path& rp : accessor_->PathsFromRoot(root_, update.parent)) {
-    const size_t k = rp.size();
-    if (k + 1 > c.full_path.size()) continue;
-    if (!c.full_path.StartsWith(rp)) continue;
-    if (c.full_path.label(k) != n2.label()) continue;
+  for (size_t k = 0; k < c.full_path.size(); ++k) {
+    if (!RootPathMatches(update.parent, k, n2.label())) continue;
     matched = true;
     const Path p = c.full_path.Suffix(k + 1);
 

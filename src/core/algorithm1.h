@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/base_accessor.h"
 #include "core/view_definition.h"
@@ -45,6 +46,10 @@ struct SimpleCorridor {
 //    gone that climb cannot cross it, so we equivalently locate Y as
 //    ancestor(N1, q) above the intact endpoint N1, with q the condition
 //    prefix between Y and N1.
+//  * The insert/delete test sel_path.cond_path = path(ROOT,N1).label(N2).p
+//    is one MatchesRootPath probe per corridor position k with
+//    full_path[k] = label(N2), never a listing of path(ROOT,N1): exact on
+//    DAG bases (§6) however many root paths N1 has.
 //  * Candidate ancestors are verified against path(ROOT,Y) = sel_path
 //    before inserting (cheap: one |sel_path| climb). On a clean tree the
 //    check is vacuous; it keeps the algorithm sound when grouping objects
@@ -110,6 +115,10 @@ class Algorithm1Maintainer : public UpdateListener {
   Status OnInsert(const Update& update);
   Status OnDelete(const Update& update);
   Status OnModify(const Update& update);
+
+  // True iff full_path[k] = `n2_label` and path(ROOT, n1) includes
+  // full_path.Prefix(k): the insert/delete screen at corridor position k.
+  bool RootPathMatches(const Oid& n1, size_t k, const std::string& n2_label);
 
   // True if `y` should be treated as the selected ancestor (candidate
   // verification; see Options).

@@ -22,18 +22,13 @@ namespace gsv {
 class BaseAccessor {
  public:
   struct Stats {
-    int64_t paths_from_root = 0;  // path(ROOT, N) evaluations
-    int64_t ancestor_calls = 0;   // ancestor(N, p) evaluations
-    int64_t eval_calls = 0;       // eval(N, p, cond) evaluations
-    int64_t fetches = 0;          // whole-object fetches
-    int64_t verify_calls = 0;     // path verification probes
+    int64_t ancestor_calls = 0;  // ancestor(N, p) evaluations
+    int64_t eval_calls = 0;      // eval(N, p, cond) evaluations
+    int64_t fetches = 0;         // whole-object fetches
+    int64_t verify_calls = 0;    // path probes (VerifyPath, MatchesRootPath)
   };
 
   virtual ~BaseAccessor() = default;
-
-  // path(ROOT, N): all label paths from `root` to `n`. At most one on a
-  // tree (§4.3); several on DAG bases (§6).
-  virtual std::vector<Path> PathsFromRoot(const Oid& root, const Oid& n) = 0;
 
   // ancestor(N, p): the objects X with path(X, N) = p. ancestor(N, ∅) = {N}.
   virtual std::vector<Oid> Ancestors(const Oid& n, const Path& p) = 0;
@@ -56,16 +51,14 @@ class BaseAccessor {
   // keeps Algorithm 1 sound when grouping objects give nodes extra parents.
   virtual bool VerifyPath(const Oid& root, const Oid& y, const Path& p) = 0;
 
-  // True iff some label path from `root` to `n` equals `p` — Algorithm 1's
-  // modify screen ("if path(ROOT,N) = sel_path.cond_path"). The default
-  // enumerates path(ROOT, N), which lets warehouse accessors answer from
-  // the root path a level-3 event already carries; local accessors override
-  // with an existence probe that never materializes paths.
+  // True iff path(ROOT, N) includes `p`: Algorithm 1's only question about
+  // root paths. Its modify screen asks it for sel_path.cond_path, its
+  // insert/delete screens for each corridor prefix whose next label is
+  // label(N2). path(ROOT, N) itself is never listed, so the answer is exact
+  // on DAG bases (§6). The default is the VerifyPath probe; warehouse
+  // accessors first try the root path a level-3 event carries.
   virtual bool MatchesRootPath(const Oid& root, const Oid& n, const Path& p) {
-    for (const Path& rp : PathsFromRoot(root, n)) {
-      if (rp == p) return true;
-    }
-    return false;
+    return VerifyPath(root, n, p);
   }
 
   // Retrieves a full object (label + value), e.g. to create its delegate.
@@ -98,14 +91,12 @@ class LocalAccessor : public BaseAccessor {
  public:
   explicit LocalAccessor(const ObjectStore* store) : store_(store) {}
 
-  std::vector<Path> PathsFromRoot(const Oid& root, const Oid& n) override;
   std::vector<Oid> Ancestors(const Oid& n, const Path& p) override;
   std::vector<Oid> Eval(const Oid& n, const Path& p,
                         const std::optional<Predicate>& pred) override;
   bool EvalAny(const Oid& n, const Path& p,
                const std::optional<Predicate>& pred) override;
   bool VerifyPath(const Oid& root, const Oid& y, const Path& p) override;
-  bool MatchesRootPath(const Oid& root, const Oid& n, const Path& p) override;
   Result<Object> Fetch(const Oid& oid) override;
 
  private:

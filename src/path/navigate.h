@@ -39,20 +39,23 @@ OidSet EvalExpression(const ObjectStore& store, const Oid& start,
 std::vector<Oid> AncestorsByPath(const ObjectStore& store, const Oid& n,
                                  const Path& path);
 
-// path(from, to) — all label paths from `from` to `to`, found by climbing
-// the inverse index from `to`. On a tree there is at most one (§4.3); the
-// search is capped at `max_paths` results for DAG safety. `max_depth` bounds
-// the climb (cycles in the base would otherwise loop). When `filter` is
-// set, intermediate objects failing it are invisible (the climb may still
-// end at `from`, which — like a query entry point — is always visible).
+// path(from, to) — label paths from `from` to `to`, found by climbing the
+// inverse index from `to`. On a tree there is at most one (§4.3); a DAG
+// base (§6) can have exponentially many, so the caller states both caps:
+// at most `max_paths` results, and no climb deeper than `max_depth`
+// (cycles in the base would otherwise loop). The listing stops silently at
+// either cap; detecting truncation is the caller's job (size() ==
+// max_paths means more may exist). To test one known path, use
+// HasPathFromTo, which has no cap. When `filter` is set, intermediate
+// objects failing it are invisible (the climb may still end at `from`,
+// which — like a query entry point — is always visible).
 std::vector<Path> PathsFromTo(const ObjectStore& store, const Oid& from,
-                              const Oid& to, size_t max_paths = 16,
-                              size_t max_depth = 256,
+                              const Oid& to, size_t max_paths,
+                              size_t max_depth,
                               const OidFilter& filter = nullptr);
 
-// True iff `to` is reachable from `from` via exactly the path `p`. Cheaper
-// than PathsFromTo when the candidate path is known: climbs |p| levels with
-// label filtering.
+// True iff `to` is reachable from `from` via exactly the path `p`: climbs
+// |p| levels with label filtering, exact on DAGs.
 bool HasPathFromTo(const ObjectStore& store, const Oid& from, const Oid& to,
                    const Path& path);
 

@@ -302,16 +302,6 @@ Status AuxiliaryCache::LoadFrom(std::istream& in) {
   return Status::Ok();
 }
 
-std::vector<Path> AuxiliaryCache::CorridorPathsFromRoot(const Oid& n) const {
-  std::vector<Path> paths;
-  auto it = depths_.find(n);
-  if (it == depths_.end()) return paths;
-  for (size_t depth : it->second) {
-    paths.push_back(corridor_.Prefix(depth));
-  }
-  return paths;
-}
-
 std::vector<Oid> AuxiliaryCache::Ancestors(const Oid& n,
                                            const Path& p) const {
   return AncestorsByPath(store_, n, p);

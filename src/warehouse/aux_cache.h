@@ -88,16 +88,13 @@ class AuxiliaryCache {
 
   bool OnCorridor(const Oid& oid) const { return depths_.count(oid) > 0; }
 
-  // All derivation paths root→n that are corridor prefixes. (Corridor
-  // labels are fixed, so the path at depth d is corridor.Prefix(d).) An
-  // uncached n has no corridor derivation — the complete answer for
-  // prefix-matching purposes.
-  std::vector<Path> CorridorPathsFromRoot(const Oid& n) const;
-
   // ancestor(n, p) within the corridor.
   std::vector<Oid> Ancestors(const Oid& n, const Path& p) const;
 
   // True iff path(root, y) includes exactly the corridor prefix `p`.
+  // (Corridor labels are fixed, so y's derivation at depth d is
+  // corridor.Prefix(d).) An uncached y has no corridor derivation, the
+  // complete answer for any corridor prefix.
   bool VerifyPath(const Oid& y, const Path& p) const;
 
   // Objects in n.p along the corridor, with values. Returns nullopt when a

@@ -33,10 +33,13 @@ void SourceMonitor::OnUpdate(const ObjectStore& store, const Update& update) {
     // the source, not the warehouse. On a DAG base the object can have
     // several root label paths, and one of them would under-report its
     // derivations: such an event carries a path without OIDs, which tells
-    // the warehouse to ask for path(ROOT, N) itself.
+    // the warehouse to probe the source itself. The listing is capped at
+    // kPathProbe paths; a capped listing counts as ambiguous, so the cap
+    // never hides a derivation, it only costs the warehouse its probes.
     constexpr size_t kPathProbe = 8;
+    constexpr size_t kMaxDepth = 256;
     std::vector<Path> paths =
-        PathsFromTo(store, root_, update.parent, kPathProbe);
+        PathsFromTo(store, root_, update.parent, kPathProbe, kMaxDepth);
     const bool unique =
         paths.size() < kPathProbe &&
         std::all_of(paths.begin(), paths.end(),

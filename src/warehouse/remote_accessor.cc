@@ -12,27 +12,6 @@ bool RemoteAccessor::EventKnowsRootPath(const Oid& n) const {
          (!event_->root_path.has_value() || !event_->root_path->oids.empty());
 }
 
-std::vector<Path> RemoteAccessor::PathsFromRoot(const Oid& root,
-                                                const Oid& n) {
-  ++stats_.paths_from_root;
-  if (EventKnowsRootPath(n)) {
-    Hit();
-    if (!event_->root_path.has_value()) return {};  // unreachable from root
-    return {event_->root_path->labels};
-  }
-  if (cache_ != nullptr) {
-    Hit();
-    return cache_->CorridorPathsFromRoot(n);
-  }
-  Miss();
-  Result<std::vector<Path>> paths = wrapper_->FetchPathsFromRoot(root, n);
-  if (!paths.ok()) {
-    NoteError(paths.status());
-    return {};
-  }
-  return std::move(paths).value();
-}
-
 std::vector<Oid> RemoteAccessor::Ancestors(const Oid& n, const Path& p) {
   ++stats_.ancestor_calls;
   if (p.empty()) {
@@ -109,8 +88,10 @@ bool RemoteAccessor::VerifyPath(const Oid& root, const Oid& y,
 
 bool RemoteAccessor::MatchesRootPath(const Oid& root, const Oid& n,
                                      const Path& p) {
-  if (EventKnowsRootPath(n) || cache_ != nullptr) {
-    return BaseAccessor::MatchesRootPath(root, n, p);
+  if (EventKnowsRootPath(n)) {
+    ++stats_.verify_calls;
+    Hit();
+    return event_->root_path.has_value() && event_->root_path->labels == p;
   }
   return VerifyPath(root, n, p);
 }

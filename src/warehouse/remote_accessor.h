@@ -14,9 +14,9 @@ namespace gsv {
 //   2. the auxiliary cache, when configured (§5.2),
 //   3. a query back to the source through the wrapper (metered).
 //
-// The accessor is bound to one view's corridor: PathsFromRoot answers are
-// the derivations relevant to that view's sel/cond prefix matching, which
-// is all Algorithm 1 consumes.
+// The accessor is bound to one view's corridor: every path question
+// Algorithm 1 asks (VerifyPath, MatchesRootPath) names a prefix of that
+// view's sel_path.cond_path, which is all the cache holds.
 //
 // BaseAccessor's interface is infallible (Algorithm 1 predates the fault
 // layer), so a failed query-back cannot propagate through the return value:
@@ -40,14 +40,12 @@ class RemoteAccessor : public BaseAccessor {
   const Status& last_error() const { return error_; }
   void ClearError() { error_ = Status::Ok(); }
 
-  std::vector<Path> PathsFromRoot(const Oid& root, const Oid& n) override;
   std::vector<Oid> Ancestors(const Oid& n, const Path& p) override;
   std::vector<Oid> Eval(const Oid& n, const Path& p,
                         const std::optional<Predicate>& pred) override;
   bool VerifyPath(const Oid& root, const Oid& y, const Path& p) override;
-  // Level-3 events and the cache answer from path(ROOT, N); otherwise one
-  // metered existence probe, which, unlike a fetched path(ROOT, N)
-  // listing, has no path cap on DAG bases.
+  // A level-3 event that knows path(ROOT, N) answers by label equality;
+  // otherwise VerifyPath answers, from the cache or one metered probe.
   bool MatchesRootPath(const Oid& root, const Oid& n, const Path& p) override;
   Result<Object> Fetch(const Oid& oid) override;
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/algorithm1.h"
 #include "core/consistency.h"
@@ -366,6 +368,65 @@ TEST_F(Algorithm1Test, AgreesWithRecomputeOverScriptedSequence) {
   ASSERT_TRUE(oracle.last_status().ok());
   EXPECT_EQ(view_->BaseMembers(), oracle_view.BaseMembers());
   ExpectConsistent();
+}
+
+// A DAG base (§6) where N1 (label a) sits under ROOT and under 17 z
+// objects, themselves under ROOT, whose OIDs sort before ROOT's: path(ROOT,
+// N1) is {a, z.a}, and a listing of it capped at 16 paths holds only z.a.
+// The view's corridor is a.c; C (label c, value 1) is N1's witness, attached
+// initially or not.
+constexpr char kManyRootPathsView[] =
+    "define mview MR as: SELECT mrROOT.a X WHERE X.c = 1";
+
+void BuildManyRootPaths(ObjectStore* store, bool witness_attached) {
+  ASSERT_TRUE(store->PutAtomic(Oid("mrC"), "c", Value::Int(1)).ok());
+  std::vector<Oid> n1_children;
+  if (witness_attached) n1_children.push_back(Oid("mrC"));
+  ASSERT_TRUE(store->PutSet(Oid("mrN1"), "a", n1_children).ok());
+  std::vector<Oid> root_children{Oid("mrN1")};
+  for (int i = 0; i < 17; ++i) {
+    const Oid z("mrA" + std::to_string(10 + i));
+    ASSERT_TRUE(store->PutSet(z, "z", {Oid("mrN1")}).ok());
+    root_children.push_back(z);
+  }
+  ASSERT_TRUE(store->PutSet(Oid("mrROOT"), "root", root_children).ok());
+}
+
+// insert(N1, C) must bring N1 in and delete(N1, C) must drop it, however
+// many root paths N1 has: each matches the corridor at position 1 through
+// path(ROOT, N1) ∋ a, the one derivation a 16-path listing misses.
+TEST(Algorithm1DagTest, ManyRootPathsInsertAndDeleteMatchRecompute) {
+  auto def = ViewDefinition::Parse(kManyRootPathsView);
+  ASSERT_TRUE(def.ok()) << def.status().ToString();
+  for (bool insert : {true, false}) {
+    SCOPED_TRACE(insert ? "insert" : "delete");
+    ObjectStore base;
+    ASSERT_NO_FATAL_FAILURE(BuildManyRootPaths(&base, !insert));
+    ObjectStore view_store;
+    MaterializedView view(&view_store, *def);
+    ASSERT_TRUE(view.Initialize(base).ok());
+    ASSERT_EQ(view.BaseMembers(),
+              insert ? OidSet() : OidSet({Oid("mrN1")}));
+    LocalAccessor accessor(&base);
+    Algorithm1Maintainer maintainer(&view, &accessor, *def, Oid("mrROOT"));
+    base.AddListener(&maintainer);
+
+    if (insert) {
+      ASSERT_TRUE(base.Insert(Oid("mrN1"), Oid("mrC")).ok());
+    } else {
+      ASSERT_TRUE(base.Delete(Oid("mrN1"), Oid("mrC")).ok());
+    }
+    ASSERT_TRUE(maintainer.last_status().ok())
+        << maintainer.last_status().ToString();
+    EXPECT_EQ(maintainer.stats().matched, 1);
+
+    ObjectStore oracle_store;
+    MaterializedView oracle(&oracle_store, *def);
+    ASSERT_TRUE(oracle.Initialize(base).ok());
+    EXPECT_EQ(view.BaseMembers(), oracle.BaseMembers());
+    EXPECT_EQ(view.BaseMembers(),
+              insert ? OidSet({Oid("mrN1")}) : OidSet());
+  }
 }
 
 }  // namespace

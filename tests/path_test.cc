@@ -248,23 +248,29 @@ TEST_F(NavigateTest, AncestorsByPath) {
   EXPECT_EQ(AncestorsByPath(store_, A1(), Path()), std::vector<Oid>{A1()});
 }
 
+// PathsFromTo has no default caps; these are generous for the example base.
+constexpr size_t kMaxPaths = 16;
+constexpr size_t kMaxDepth = 256;
+
 TEST_F(NavigateTest, PathsFromTo) {
-  std::vector<Path> paths = PathsFromTo(store_, Root(), A1());
+  std::vector<Path> paths =
+      PathsFromTo(store_, Root(), A1(), kMaxPaths, kMaxDepth);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].ToString(), "professor.age");
 
   // P3 is reachable from ROOT directly and through P1.
-  paths = PathsFromTo(store_, Root(), P3());
+  paths = PathsFromTo(store_, Root(), P3(), kMaxPaths, kMaxDepth);
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].ToString(), "professor.student");
   EXPECT_EQ(paths[1].ToString(), "student");
 
   // Self path.
-  paths = PathsFromTo(store_, Root(), Root());
+  paths = PathsFromTo(store_, Root(), Root(), kMaxPaths, kMaxDepth);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_TRUE(paths[0].empty());
 
-  EXPECT_TRUE(PathsFromTo(store_, A1(), Root()).empty()) << "wrong direction";
+  EXPECT_TRUE(PathsFromTo(store_, A1(), Root(), kMaxPaths, kMaxDepth).empty())
+      << "wrong direction";
 }
 
 TEST_F(NavigateTest, HasPathFromTo) {
@@ -278,7 +284,9 @@ TEST_F(NavigateTest, HasPathFromTo) {
 }
 
 TEST_F(NavigateTest, PathsFromToRespectsMaxPaths) {
-  std::vector<Path> paths = PathsFromTo(store_, Root(), P3(), /*max_paths=*/1);
+  std::vector<Path> paths =
+      PathsFromTo(store_, Root(), P3(), /*max_paths=*/1, kMaxDepth);
+  // Truncated silently: size() == max_paths is the caller's only signal.
   EXPECT_EQ(paths.size(), 1u);
 }
 
@@ -287,13 +295,15 @@ TEST_F(NavigateTest, PathsFromToHonorsFilter) {
   // one remains (WITHIN-scoped reverse navigation).
   auto filter = [](const Oid& oid) { return oid != P1(); };
   std::vector<Path> paths =
-      PathsFromTo(store_, Root(), P3(), 16, 256, filter);
+      PathsFromTo(store_, Root(), P3(), kMaxPaths, kMaxDepth, filter);
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].ToString(), "student");
 
   // Hiding the target itself yields nothing.
   auto hide_target = [](const Oid& oid) { return oid != P3(); };
-  EXPECT_TRUE(PathsFromTo(store_, Root(), P3(), 16, 256, hide_target).empty());
+  EXPECT_TRUE(
+      PathsFromTo(store_, Root(), P3(), kMaxPaths, kMaxDepth, hide_target)
+          .empty());
 }
 
 TEST_F(NavigateTest, EvalExpressionHonorsFilter) {

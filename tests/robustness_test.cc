@@ -138,9 +138,9 @@ TEST(RobustnessTest, DeepChainsDoNotOverflow) {
   EXPECT_EQ(
       EvalExpression(store, child, *PathExpression::Parse("*")).size(),
       static_cast<size_t>(kDepth) + 1);
-  // Upward climb (capped at max_depth=256 by default: returns nothing
-  // rather than recursing forever).
-  EXPECT_TRUE(PathsFromTo(store, child, Oid("leaf")).empty());
+  // Upward climb capped at max_depth=256: returns nothing rather than
+  // recursing forever.
+  EXPECT_TRUE(PathsFromTo(store, child, Oid("leaf"), 16, 256).empty());
   EXPECT_EQ(PathsFromTo(store, child, Oid("leaf"), 16, 1024).size(), 1u);
 }
 

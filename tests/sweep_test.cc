@@ -603,14 +603,19 @@ INSTANTIATE_TEST_SUITE_P(Randomized, ScopedSweepTwinTest,
 
 // --------------------------------------------- incremental corridor depths
 
-// Every object's corridor paths in `cache` equal those of `other`.
-void ExpectSameDepths(const ObjectStore& source, const AuxiliaryCache& cache,
-                      const AuxiliaryCache& other, const std::string& what) {
+// Every object's corridor paths in `cache` equal those of `other`: both
+// caches agree on every corridor prefix probe.
+void ExpectSameDepths(const ObjectStore& source, const Path& corridor,
+                      const AuxiliaryCache& cache, const AuxiliaryCache& other,
+                      const std::string& what) {
   ASSERT_EQ(cache.size(), other.size()) << what;
   source.ForEach([&](const Object& object) {
-    EXPECT_EQ(cache.CorridorPathsFromRoot(object.oid()),
-              other.CorridorPathsFromRoot(object.oid()))
-        << what << ": " << object.oid().str();
+    for (size_t k = 0; k <= corridor.size(); ++k) {
+      const Path prefix = corridor.Prefix(k);
+      EXPECT_EQ(cache.VerifyPath(object.oid(), prefix),
+                other.VerifyPath(object.oid(), prefix))
+          << what << ": " << object.oid().str() << " at depth " << k;
+    }
   });
 }
 
@@ -689,11 +694,12 @@ TEST(IncrementalCorridorTest, DepthsMatchRecomputeAfterEveryEvent) {
         AuxiliaryCache reloaded(AuxiliaryCache::Mode::kFull, root, corridor);
         ASSERT_TRUE(reloaded.LoadFrom(image).ok());
         ASSERT_NO_FATAL_FAILURE(
-            ExpectSameDepths(source, cache, reloaded, "reloaded"));
+            ExpectSameDepths(source, corridor, cache, reloaded, "reloaded"));
 
         AuxiliaryCache fresh(AuxiliaryCache::Mode::kFull, root, corridor);
         ASSERT_TRUE(fresh.Initialize(&wrapper).ok());
-        ASSERT_NO_FATAL_FAILURE(ExpectSameDepths(source, cache, fresh, "fresh"));
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectSameDepths(source, corridor, cache, fresh, "fresh"));
 
         // Pruning drops exactly the detached leftovers.
         if (step % 5 == 4) {

@@ -163,9 +163,10 @@ TEST(WrapperTest, MetersEveryInteraction) {
   EXPECT_EQ(objects->size(), 2u);
   EXPECT_EQ(costs.objects_shipped, 1 + 1 + 2);
 
-  auto paths = wrapper.FetchPathsFromRoot(Root(), A1());
-  ASSERT_TRUE(paths.ok());
-  EXPECT_EQ(paths->size(), 1u);
+  auto root_path =
+      wrapper.VerifyPath(Root(), A1(), *Path::Parse("professor.age"));
+  ASSERT_TRUE(root_path.ok());
+  EXPECT_TRUE(*root_path);
   auto verified = wrapper.VerifyPath(Root(), P1(), *Path::Parse("professor"));
   ASSERT_TRUE(verified.ok());
   EXPECT_TRUE(*verified);
@@ -238,7 +239,13 @@ TEST_F(AuxCacheTest, InitializeLoadsCorridor) {
   EXPECT_GT(costs_.cache_maintenance_queries, 0);
 
   // Corridor answers.
-  auto paths = cache.CorridorPathsFromRoot(P1());
+  const Path corridor = *Path::Parse("professor.age");
+  std::vector<Path> paths;
+  for (size_t k = 0; k <= corridor.size(); ++k) {
+    if (cache.VerifyPath(P1(), corridor.Prefix(k))) {
+      paths.push_back(corridor.Prefix(k));
+    }
+  }
   ASSERT_EQ(paths.size(), 1u);
   EXPECT_EQ(paths[0].ToString(), "professor");
   EXPECT_TRUE(cache.VerifyPath(P1(), *Path::Parse("professor")));
@@ -990,6 +997,80 @@ TEST(InlineDeliveryTest, FailedQueryBackLeavesThePreEventView) {
   ASSERT_TRUE(oracle.Initialize(rig.source).ok());
   EXPECT_EQ(ViewContentLines(*rig.warehouse.view("IV")),
             ViewContentLines(oracle));
+}
+
+// ----------------------------------------- DAG bases with many root paths
+
+// A DAG base (§6) where N1 (label a) sits under ROOT and under 17 z
+// objects, themselves under ROOT, whose OIDs sort before ROOT's: path(ROOT,
+// N1) is {a, z.a}, so a listing of it capped at 16 holds only z.a, and the
+// level-3 monitor's 8-path listing is capped, which makes its event
+// ambiguous (no OIDs). The view's corridor is a.c; C (label c, value 1) is
+// N1's witness, attached initially or not.
+constexpr char kManyRootPathsView[] =
+    "define mview MR as: SELECT mrROOT.a X WHERE X.c = 1";
+
+void BuildManyRootPaths(ObjectStore* store, bool witness_attached) {
+  ASSERT_TRUE(store->PutAtomic(Oid("mrC"), "c", Value::Int(1)).ok());
+  std::vector<Oid> n1_children;
+  if (witness_attached) n1_children.push_back(Oid("mrC"));
+  ASSERT_TRUE(store->PutSet(Oid("mrN1"), "a", n1_children).ok());
+  std::vector<Oid> root_children{Oid("mrN1")};
+  for (int i = 0; i < 17; ++i) {
+    const Oid z("mrA" + std::to_string(10 + i));
+    ASSERT_TRUE(store->PutSet(z, "z", {Oid("mrN1")}).ok());
+    root_children.push_back(z);
+  }
+  ASSERT_TRUE(store->PutSet(Oid("mrROOT"), "root", root_children).ok());
+}
+
+// insert(N1, C) brings N1 in and delete(N1, C) drops it, at every reporting
+// level with no cache, the view equal to the §4.4 recompute afterwards.
+void ExpectManyRootPathsMatchRecompute(bool deferred) {
+  auto def = ViewDefinition::Parse(kManyRootPathsView);
+  ASSERT_TRUE(def.ok()) << def.status().ToString();
+  for (ReportingLevel level :
+       {ReportingLevel::kOidsOnly, ReportingLevel::kWithValues,
+        ReportingLevel::kWithRootPath}) {
+    for (bool insert : {true, false}) {
+      SCOPED_TRACE(std::string(ReportingLevelName(level)) +
+                   (insert ? " insert" : " delete"));
+      ObjectStore source;
+      ASSERT_NO_FATAL_FAILURE(BuildManyRootPaths(&source, !insert));
+      ObjectStore store;
+      Warehouse warehouse(&store);
+      ASSERT_TRUE(warehouse.ConnectSource(&source, Oid("mrROOT"), level).ok());
+      ASSERT_TRUE(warehouse.DefineView(kManyRootPathsView).ok());
+      warehouse.set_deferred(deferred);
+      ASSERT_EQ(warehouse.view("MR")->BaseMembers(),
+                insert ? OidSet() : OidSet({Oid("mrN1")}));
+
+      if (insert) {
+        ASSERT_TRUE(source.Insert(Oid("mrN1"), Oid("mrC")).ok());
+      } else {
+        ASSERT_TRUE(source.Delete(Oid("mrN1"), Oid("mrC")).ok());
+      }
+      if (deferred) ASSERT_TRUE(warehouse.ProcessPendingBatch().ok());
+      ASSERT_TRUE(warehouse.last_status().ok())
+          << warehouse.last_status().ToString();
+
+      ObjectStore oracle_store;
+      MaterializedView oracle(&oracle_store, *def);
+      ASSERT_TRUE(oracle.Initialize(source).ok());
+      EXPECT_EQ(ViewContentLines(*warehouse.view("MR")),
+                ViewContentLines(oracle));
+      EXPECT_EQ(warehouse.view("MR")->BaseMembers(),
+                insert ? OidSet({Oid("mrN1")}) : OidSet());
+    }
+  }
+}
+
+TEST(ManyRootPathsTest, InlineWarehouseMatchesRecomputeAtEveryLevel) {
+  ExpectManyRootPathsMatchRecompute(/*deferred=*/false);
+}
+
+TEST(ManyRootPathsTest, DeferredWarehouseMatchesRecomputeAtEveryLevel) {
+  ExpectManyRootPathsMatchRecompute(/*deferred=*/true);
 }
 
 TEST_F(WarehouseTest, RecoveredSourceResyncsOnNextEventWithoutExplicitCall) {

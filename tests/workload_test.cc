@@ -102,7 +102,9 @@ TEST(DagGenTest, NodesHaveMultipleParents) {
   // Multiple derivation paths exist for some node.
   bool some_multi_path = false;
   for (const Oid& leaf : dag->layers[2]) {
-    if (PathsFromTo(store, dag->root, leaf, 8).size() > 1) {
+    if (PathsFromTo(store, dag->root, leaf, /*max_paths=*/8,
+                    /*max_depth=*/256)
+            .size() > 1) {
       some_multi_path = true;
       break;
     }
